@@ -73,7 +73,7 @@ fn bench_tokens(c: &mut Criterion) {
             let (t, _) = tm
                 .grant(host, fid, TokenTypes::DATA_READ, ByteRange::WHOLE)
                 .unwrap();
-            tm.release(host, t.id);
+            tm.release(host, t.fid, t.id);
         })
     });
     c.bench_function("token_compatibility_check", |b| {

@@ -22,7 +22,7 @@
 
 use dfs_bench::emit::Obj;
 use dfs_bench::scenario::{ClassSpec, Event, OpClass, Phase, RunReport, Scenario, Topology};
-use dfs_bench::{f2, header, row};
+use dfs_bench::{header, row};
 
 const VOLUMES: u64 = 8;
 
@@ -95,14 +95,18 @@ fn scenario(a: &Args) -> Scenario {
     .sample_every((total / 16).max(1))
 }
 
-fn report(a: &Args, r: &RunReport, replay_identical: bool) -> String {
-    let ok = r.coherent() && replay_identical && r.events.iter().all(|e| e.ok);
+/// The JSON report of `first`. `ok` requires both runs to hold every
+/// invariant and fire every event, and the replay to match.
+fn report(a: &Args, first: &RunReport, second: &RunReport) -> String {
+    let replay_identical = first.deterministic_json() == second.deterministic_json();
+    let passed = |r: &RunReport| r.coherent() && r.events.iter().all(|e| e.ok);
+    let ok = replay_identical && passed(first) && passed(second);
     Obj::new()
         .field("bench", "t17_scenario")
         .field("replay_identical", replay_identical)
         .field("ok", ok)
         .field("ops_per_client", a.ops)
-        .field_raw("run", &r.to_json())
+        .field_raw("run", &first.to_json())
         .render()
 }
 
@@ -110,12 +114,12 @@ fn main() {
     let a = parse_args();
     let first = scenario(&a).run();
     let second = scenario(&a).run();
-    let replay_identical = first.deterministic_json() == second.deterministic_json();
 
     if a.json {
-        println!("{}", report(&a, &first, replay_identical));
+        println!("{}", report(&a, &first, &second));
         return;
     }
+    let replay_identical = first.deterministic_json() == second.deterministic_json();
 
     println!(
         "T17: scenario engine — {} clients x {} servers, {} volumes, crash+restart+move\n",
@@ -139,7 +143,6 @@ fn main() {
     println!("\nDeterministic block: {}", first.deterministic_json());
     println!("Replay identical:    {replay_identical}");
     println!("Invariants:          {}", first.invariants_json());
-    println!("Lock-free hit rate:  {}", f2(first.lockfree_hit_rate()));
     println!("\nExpected shape: the op stream replays byte-identically under the");
     println!("fixed seed (both runs above), no acknowledged write is lost and no");
     println!("two caches disagree — while ops during the crash window may fail");

@@ -12,9 +12,8 @@
 //!
 //! The third section (`--clients A,B,...`) is a concurrency sweep: N
 //! clients each write their own file and fsync in parallel, so token
-//! grants and store-backs for distinct fids land on different shards of
-//! the server's token manager and host table. Aggregate throughput per
-//! N is the metric.
+//! grants and store-backs for distinct fids never conflict. Aggregate
+//! throughput per N is the metric.
 //!
 //! Flags: `--json` emits machine-readable results (validated by
 //! `jsoncheck` in the verify.sh smoke stage); `--ops N` and `--pages N`
@@ -118,7 +117,7 @@ fn writeback_run(wb: WritebackConfig, pages: u64) -> WbRun {
 
 /// One point of the concurrency sweep: N clients, each writing its own
 /// `pages`-page file then fsyncing, all in parallel. Distinct fids mean
-/// the grant/store-back path fans out across token and host shards.
+/// no grant conflicts with another client's.
 struct ConcPoint {
     clients: usize,
     total_pages: u64,
@@ -339,8 +338,8 @@ fn main() {
                 &c.ok,
             ]);
         }
-        println!("\nExpected shape (§5): distinct fids hash to different token/host");
-        println!("shards, so aggregate store-back throughput scales with clients");
-        println!("instead of serializing on one manager-wide mutex.");
+        println!("\nExpected shape (§5): distinct fids never conflict, so no client");
+        println!("waits on another's revocation and aggregate store-back throughput");
+        println!("scales with clients.");
     }
 }

@@ -123,9 +123,13 @@ fn main() {
                     "ops_per_sim_net_s",
                     r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64,
                 )
-                .field("lockfree_reads", r.client_stats.lockfree_reads)
                 .field("local_reads", r.client_stats.local_reads)
                 .field("revocations", r.client_stats.revocations)
+                .field("failed_ops", r.failed_ops)
+                .field("ambiguous_regions", r.ambiguous_regions)
+                .field("lost_updates", r.lost_updates)
+                .field("agreement_failures", r.agreement_failures)
+                .field("torn_reads", r.torn_reads)
                 .field("ok", r.clean())
         }));
         let out = Obj::new()
@@ -164,8 +168,11 @@ fn main() {
         "RPCs",
         "net ms",
         "ops/net-s",
-        "lock-free",
         "revocations",
+        "failed",
+        "lost",
+        "disagree",
+        "torn",
         "ok",
     ]);
     for r in &sweep {
@@ -175,13 +182,16 @@ fn main() {
             &r.net_calls,
             &f2(r.net_latency_us as f64 / 1000.0),
             &f2(r.total_ops as f64 * 1e6 / r.net_latency_us.max(1) as f64),
-            &r.client_stats.lockfree_reads,
             &r.client_stats.revocations,
+            &r.failed_ops,
+            &r.lost_updates,
+            &r.agreement_failures,
+            &r.torn_reads,
             &r.clean(),
         ]);
     }
     println!("\nExpected shape (paper §5.5, §6.1): a constant small number of RPCs");
     println!("per handoff and zero stale reads; in the sweep, throughput should");
     println!("scale with clients while reads between revocation storms are served");
-    println!("from the published token snapshot without taking a vnode lock.");
+    println!("from the client cache under read tokens.");
 }

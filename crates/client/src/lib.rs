@@ -32,10 +32,10 @@ use dfs_rpc::{
 };
 use dfs_server::VldbHandle;
 use dfs_token::{Token, TokenTypes};
-use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
+use dfs_types::lock::{rank, OrderedCondvar, OrderedMutex};
 use dfs_types::{
     Acl, ByteRange, ClientId, DfsError, DfsResult, FileStatus, Fid, SerializationStamp, ServerId,
-    SnapshotCell, VolumeId,
+    VolumeId,
 };
 use dfs_vfs::{DirEntry, SetAttrs, WriteExtent};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -143,9 +143,8 @@ impl OpenMode {
 pub struct ClientStats {
     /// Reads served entirely from the cache under a data token.
     pub local_reads: u64,
-    /// Subset of `local_reads` (and trusted `getattr`s) satisfied from
-    /// the published token snapshot without taking any vnode lock
-    /// (§6.1 seqlock fast path).
+    /// Always 0: every read and `getattr` takes the vnode locks. Kept so
+    /// existing readers of the stats struct keep compiling.
     pub lockfree_reads: u64,
     /// Reads that needed a FetchData RPC.
     pub remote_reads: u64,
@@ -350,42 +349,6 @@ struct VnState {
     opens: Vec<TokenTypes>,
 }
 
-/// Returns true if the union of tokens carrying any of `types` covers
-/// every byte of `range`. Shared by the locked [`VnState`] checks and
-/// the lock-free [`TokenView`] fast path so both judge coverage
-/// identically.
-fn tokens_cover(tokens: &[Token], types: TokenTypes, range: &ByteRange) -> bool {
-    if range.is_empty() {
-        return true;
-    }
-    let mut spans: Vec<ByteRange> = tokens
-        .iter()
-        .filter(|t| t.types.intersects(types))
-        .map(|t| t.range)
-        .collect();
-    spans.sort_by_key(|r| r.start);
-    let mut pos = range.start;
-    for s in spans {
-        if s.start > pos {
-            break;
-        }
-        pos = pos.max(s.end.min(range.end));
-        if pos >= range.end {
-            return true;
-        }
-    }
-    pos >= range.end
-}
-
-/// True if any token carries a status guarantee (read or write) — the
-/// condition under which the cached `FileStatus` may be believed.
-fn tokens_trust_status(tokens: &[Token]) -> bool {
-    tokens.iter().any(|t| {
-        t.types
-            .intersects(TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::STATUS_WRITE.0))
-    })
-}
-
 impl VnState {
     fn find_token(&self, types: TokenTypes, range: &ByteRange) -> Option<&Token> {
         self.tokens
@@ -396,7 +359,27 @@ impl VnState {
     /// Returns true if the union of held tokens carrying any of `types`
     /// covers every byte of `range`.
     fn covered(&self, types: TokenTypes, range: &ByteRange) -> bool {
-        tokens_cover(&self.tokens, types, range)
+        if range.is_empty() {
+            return true;
+        }
+        let mut spans: Vec<ByteRange> = self
+            .tokens
+            .iter()
+            .filter(|t| t.types.intersects(types))
+            .map(|t| t.range)
+            .collect();
+        spans.sort_by_key(|r| r.start);
+        let mut pos = range.start;
+        for s in spans {
+            if s.start > pos {
+                break;
+            }
+            pos = pos.max(s.end.min(range.end));
+            if pos >= range.end {
+                return true;
+            }
+        }
+        pos >= range.end
     }
 
     fn has_types(&self, types: TokenTypes) -> bool {
@@ -414,36 +397,20 @@ impl VnState {
         }
     }
 
+    /// True if the cached status may be believed: it is present and a
+    /// token carries a status guarantee (read or write).
     fn status_trusted(&self) -> bool {
-        self.status.is_some() && tokens_trust_status(&self.tokens)
+        self.status.is_some()
+            && self.tokens.iter().any(|t| {
+                t.types
+                    .intersects(TokenTypes(TokenTypes::STATUS_READ.0 | TokenTypes::STATUS_WRITE.0))
+            })
     }
 
     fn dir_trusted(&self) -> bool {
         self.tokens.iter().any(|t| {
             t.types.contains(TokenTypes::STATUS_READ) && t.types.contains(TokenTypes::DATA_READ)
         })
-    }
-}
-
-/// Immutable snapshot of a vnode's token-relevant state, republished
-/// through [`CVnode::published`] every time a `lo` guard that mutated
-/// the state is released. The lock-free fast path (§6.1) reads it to
-/// satisfy cache hits without touching `CLIENT_VNODE_LO`.
-struct TokenView {
-    status: Option<FileStatus>,
-    tokens: Vec<Token>,
-    /// Pages present in the data cache and covered by a token, as of
-    /// the publishing guard's release.
-    valid: BTreeSet<u64>,
-}
-
-impl TokenView {
-    fn of(state: &VnState) -> TokenView {
-        TokenView {
-            status: state.status.clone(),
-            tokens: state.tokens.clone(),
-            valid: state.valid.clone(),
-        }
     }
 }
 
@@ -455,69 +422,7 @@ struct CVnode {
     // dfs-lint: allow(guard-across-rpc)
     hi: OrderedMutex<(), { rank::CLIENT_VNODE_HI }>,
     /// Low-level lock: guards the cached state; released across RPCs.
-    /// Always acquired through [`CVnode::lock_lo`], whose guard
-    /// maintains `lo_seq`/`published` for the lock-free fast path.
     lo: OrderedMutex<VnState, { rank::CLIENT_VNODE_LO }>,
-    /// Seqlock word for the fast path: odd while a `lo` holder may be
-    /// mutating the state, even when `published` is current. Bumped to
-    /// odd on a guard's first mutable access, back to even after the
-    /// guard republishes on release.
-    lo_seq: AtomicU64,
-    /// Latest published [`TokenView`]; empty until the first mutation.
-    published: SnapshotCell<TokenView>,
-}
-
-impl CVnode {
-    /// Acquires the low-level lock through the publishing guard. Every
-    /// `lo` acquisition must go through here: a bare `self.lo.lock()`
-    /// could mutate state without invalidating the published snapshot,
-    /// and the fast path would serve stale hits forever.
-    fn lock_lo(&self) -> LoGuard<'_> {
-        LoGuard { inner: self.lo.lock(), vn: self, mutated: false }
-    }
-}
-
-/// Guard for [`CVnode::lo`] that drives the §6.1 fast-path seqlock:
-/// the first mutable dereference flips `lo_seq` odd (fast-path readers
-/// fall back to the mutex), and dropping a guard that mutated state
-/// republishes the [`TokenView`] and flips the seq even again — both
-/// while the mutex is still held, so a snapshot can never go backwards.
-struct LoGuard<'a> {
-    /// Declared before `vn` for documentation only; the publish happens
-    /// in `Drop::drop`'s body, while `inner` is still alive.
-    inner: OrderedMutexGuard<'a, VnState, { rank::CLIENT_VNODE_LO }>,
-    vn: &'a CVnode,
-    mutated: bool,
-}
-
-impl std::ops::Deref for LoGuard<'_> {
-    type Target = VnState;
-    fn deref(&self) -> &VnState {
-        &self.inner
-    }
-}
-
-impl std::ops::DerefMut for LoGuard<'_> {
-    fn deref_mut(&mut self) -> &mut VnState {
-        if !self.mutated {
-            self.mutated = true;
-            // Odd: mutation in progress, fast path must fall back.
-            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
-        }
-        &mut self.inner
-    }
-}
-
-impl Drop for LoGuard<'_> {
-    fn drop(&mut self) {
-        if self.mutated {
-            // Still under the mutex here: `inner` drops after this
-            // body, so the published view matches the state the next
-            // `lo` holder will see and the even seq ratifies it.
-            self.vn.published.store(Arc::new(TokenView::of(&self.inner)));
-            self.vn.lo_seq.fetch_add(1, Ordering::SeqCst);
-        }
-    }
 }
 
 /// Wake/stop flags for the background flusher, guarded at rank
@@ -570,11 +475,6 @@ pub struct CacheManager {
     locations: OrderedMutex<LocationCache, { rank::CLIENT_RESOURCE }>,
     roots: OrderedMutex<HashMap<VolumeId, Fid>, { rank::CLIENT_RESOURCE }>,
     stats: OrderedMutex<ClientStats, { rank::STATS }>,
-    /// Whether the §6.1 lock-free read/getattr fast path is enabled.
-    /// `DFS_NO_LOCKFREE=1` disables it (ablation knob for benchmarks);
-    /// the seqlock/publish machinery still runs so the knob isolates
-    /// only the hit path.
-    lockfree: bool,
     /// Total attempts `file_rpc` spends (across redirects, busy waits,
     /// grace waits and transport retries) before giving up with an
     /// honest `Unavailable`. `DFS_RPC_RETRY_BUDGET` overrides.
@@ -622,7 +522,6 @@ impl CacheManager {
             locations: OrderedMutex::new(LocationCache::default()),
             roots: OrderedMutex::new(HashMap::new()),
             stats: OrderedMutex::new(ClientStats::default()),
-            lockfree: std::env::var("DFS_NO_LOCKFREE").map_or(true, |v| v != "1"),
             retry_budget: std::env::var("DFS_RPC_RETRY_BUDGET")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -703,7 +602,7 @@ impl CacheManager {
         let targets: Vec<Arc<CVnode>> = self.vnodes.lock().values().cloned().collect();
         let mut first_err = None;
         for vn in targets {
-            if vn.lock_lo().dirty.is_empty() {
+            if vn.lo.lock().dirty.is_empty() {
                 continue;
             }
             if let Err(e) = self.store_back(&vn, None) {
@@ -975,8 +874,6 @@ impl CacheManager {
                     fid,
                     hi: OrderedMutex::new(()),
                     lo: OrderedMutex::new(VnState::default()),
-                    lo_seq: AtomicU64::new(0),
-                    published: SnapshotCell::new(),
                 })
             })
             .clone()
@@ -1330,7 +1227,7 @@ impl CacheManager {
     /// (their write_seq no longer matches the snapshot) and go out on a
     /// later round; queued revocations are absorbed after each reply.
     fn store_back(&self, vn: &Arc<CVnode>, range: Option<ByteRange>) -> DfsResult<()> {
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         loop {
             // The EOF as the local writer sees it at snapshot time:
             // extents are clamped against the same status the dirty-set
@@ -1351,7 +1248,7 @@ impl CacheManager {
                 st.storeback_pages += pages.len() as u64;
             }
             let resp = self.file_rpc(vn.fid.volume, req);
-            lo = vn.lock_lo();
+            lo = vn.lo.lock();
             lo.in_flight -= 1;
             // The local length as of *now* — writes during the RPC
             // flight may have extended the file past what this store
@@ -1494,7 +1391,7 @@ impl CacheManager {
         // stamps are accepted.
         let mut claims: Vec<Token> = Vec::new();
         for vn in &mine {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             claims.append(&mut lo.tokens);
             lo.queued.clear(); // Revocations of dead tokens are moot.
             lo.stamp = SerializationStamp::default();
@@ -1519,7 +1416,7 @@ impl CacheManager {
         self.stats.lock().tokens_reestablished += granted.len() as u64;
         for t in granted {
             let vn = self.vnode(t.fid);
-            vn.lock_lo().tokens.push(t);
+            vn.lo.lock().tokens.push(t);
         }
         // Replay files with dirty pages; revalidate the rest. A vnode
         // whose pages were all acked pre-crash may still carry
@@ -1528,7 +1425,7 @@ impl CacheManager {
         // reply to the last store — so it revalidates like a clean one.
         for vn in &mine {
             let (has_dirty, cached_dv) = {
-                let lo = vn.lock_lo();
+                let lo = vn.lo.lock();
                 (!lo.dirty.is_empty(), lo.status.as_ref().map(|s| s.data_version))
             };
             if has_dirty {
@@ -1536,7 +1433,7 @@ impl CacheManager {
                 // server recovered; push it back out. Pages whose
                 // stores were acked pre-crash are clean here and
                 // durable there; everything else is still dirty.
-                let replayed = vn.lock_lo().dirty.len() as u64;
+                let replayed = vn.lo.lock().dirty.len() as u64;
                 if self.store_back(vn, None).is_ok() {
                     self.stats.lock().recovery_replayed_pages += replayed;
                 }
@@ -1546,7 +1443,7 @@ impl CacheManager {
             let resp = self
                 .file_rpc(vn.fid.volume, Request::FetchStatus { fid: vn.fid, want: None })
                 .and_then(|r| r.into_result());
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             match resp {
                 // A replica-served (stale-stamped) status cannot
                 // revalidate a cache: only the primary's answer is
@@ -1605,77 +1502,41 @@ impl CacheManager {
         }
     }
 
-    /// Attempts to satisfy a read entirely from the published
-    /// [`TokenView`] without taking either vnode lock (§6.1 fast path).
-    ///
-    /// Seqlock protocol: sample `lo_seq` (must be even — odd means a
-    /// `lo` holder is mutating), load the snapshot, validate coverage
-    /// and copy the bytes, then re-check that `lo_seq` is unchanged.
-    /// Publishing happens under the `lo` mutex before the seq returns
-    /// to even, so an unchanged even seq proves the snapshot was
-    /// current for the whole copy. Any surprise — missing page, stale
-    /// seq — returns `None` and the caller falls back to the mutex
-    /// path.
-    fn try_lockfree_read(
+    /// Page `p`, which `lo.valid` lists, for an operation holding the
+    /// vnode's `hi` lock. The data cache may have evicted it; under `lo`
+    /// that is told apart from a hole. An evicted clean page comes from
+    /// `fetched`, the `(first page, bytes)` runs this operation fetched
+    /// and installed: while `hi` is held a page still in `valid` cannot
+    /// have changed since. Otherwise it is `None`, and the caller drops
+    /// it from `valid` and fetches it again. An evicted dirty page reads
+    /// as zeros: its bytes are lost (store-back skips it too).
+    fn valid_page(
         &self,
-        vn: &CVnode,
+        lo: &VnState,
         fid: Fid,
-        offset: u64,
-        len: usize,
+        p: u64,
+        fetched: &[(u64, Vec<u8>)],
     ) -> Option<Vec<u8>> {
-        let s1 = vn.lo_seq.load(Ordering::SeqCst);
-        if s1 & 1 == 1 {
-            return None;
+        if let Some(page) = self.data.read_page(fid, p) {
+            return Some(page);
         }
-        let view = vn.published.load()?;
-        if !tokens_trust_status(&view.tokens) {
-            return None;
+        if lo.dirty.contains_key(&p) {
+            return Some(vec![0; PAGE_SIZE]);
         }
-        let st = view.status.as_ref()?;
-        let end = st.length.min(offset + len as u64);
-        let mut out = Vec::new();
-        if offset < end {
-            let want = ByteRange::new(offset, end);
-            let readable = TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::DATA_WRITE.0);
-            if !tokens_cover(&view.tokens, readable, &want) {
-                return None;
-            }
-            let first = offset / PAGE_SIZE as u64;
-            let last = (end - 1) / PAGE_SIZE as u64;
-            if !(first..=last).all(|p| view.valid.contains(&p)) {
-                return None;
-            }
-            out.reserve((end - offset) as usize);
-            for p in first..=last {
-                // Unlike the locked path, eviction here means bail, not
-                // zero-fill: without the lock we cannot tell a racing
-                // evict from a never-written hole.
-                let page = self.data.read_page(fid, p)?;
-                let ps = p * PAGE_SIZE as u64;
-                let s = offset.max(ps) - ps;
-                let e = (end - ps).min(PAGE_SIZE as u64);
-                out.extend_from_slice(&page[s as usize..e as usize]);
-            }
-        }
-        if vn.lo_seq.load(Ordering::SeqCst) != s1 {
-            return None;
-        }
-        let mut stats = self.stats.lock();
-        stats.local_reads += 1;
-        stats.lockfree_reads += 1;
-        Some(out)
+        fetched.iter().find_map(|(start, bytes)| {
+            let at = usize::try_from(p.checked_sub(*start)?).ok()?.checked_mul(PAGE_SIZE)?;
+            let mut page = bytes.get(at..)?.chunks(PAGE_SIZE).next()?.to_vec();
+            page.resize(PAGE_SIZE, 0);
+            Some(page)
+        })
     }
 
     /// Reads up to `len` bytes at `offset`.
     pub fn read(&self, fid: Fid, offset: u64, len: usize) -> DfsResult<Vec<u8>> {
         let vn = self.vnode(fid);
-        if self.lockfree {
-            if let Some(out) = self.try_lockfree_read(&vn, fid, offset, len) {
-                return Ok(out);
-            }
-        }
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
+        let mut fetched: Vec<(u64, Vec<u8>)> = Vec::new();
         for round in 0..256u32 {
             // Fast path first, while the low-level lock is still held
             // from the previous round's merge: a freshly-granted token
@@ -1695,16 +1556,22 @@ impl CacheManager {
                     && (first..=last).all(|p| lo.valid.contains(&p))
                 {
                     let mut out = Vec::with_capacity((end - offset) as usize);
+                    let mut evicted = None;
                     for p in first..=last {
-                        let page =
-                            self.data.read_page(fid, p).unwrap_or_else(|| vec![0; PAGE_SIZE]);
+                        let Some(page) = self.valid_page(&lo, fid, p, &fetched) else {
+                            evicted = Some(p);
+                            break;
+                        };
                         let ps = p * PAGE_SIZE as u64;
                         let s = offset.max(ps) - ps;
                         let e = (end - ps).min(PAGE_SIZE as u64);
                         out.extend_from_slice(&page[s as usize..e as usize]);
                     }
-                    self.stats.lock().local_reads += 1;
-                    return Ok(out);
+                    let Some(p) = evicted else {
+                        self.stats.lock().local_reads += 1;
+                        return Ok(out);
+                    };
+                    lo.valid.remove(&p);
                 }
             }
 
@@ -1713,7 +1580,7 @@ impl CacheManager {
                 // client can finish its handoff, then re-acquire.
                 drop(lo);
                 self.backoff(fid, round);
-                lo = vn.lock_lo();
+                lo = vn.lo.lock();
             }
             // Miss: fetch a chunk with read tokens, releasing the low
             // lock across the RPC (§6.1), then merge and retry.
@@ -1736,7 +1603,7 @@ impl CacheManager {
                     ),
                 },
             );
-            lo = vn.lock_lo();
+            lo = vn.lo.lock();
             lo.in_flight -= 1;
             let (bytes, status, tokens, stamp) = match resp?.into_result()? {
                 Response::Data { bytes, status, tokens, stamp, stale_us, .. } => {
@@ -1772,6 +1639,7 @@ impl CacheManager {
                     }
                 }
             }
+            fetched = vec![(first, bytes)];
             self.absorb(&vn, &mut lo, Some((status, stamp)), tokens);
             self.stats.lock().remote_reads += 1;
         }
@@ -1784,30 +1652,48 @@ impl CacheManager {
     pub fn write(&self, fid: Fid, offset: u64, data: &[u8]) -> DfsResult<FileStatus> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         let want = ByteRange::at(offset, data.len() as u64);
         let needed = TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0);
 
+        let mut fetched: Vec<(u64, Vec<u8>)> = Vec::new();
         for round in 0..256u32 {
             if lo.covered(TokenTypes::DATA_WRITE, &want)
                 && lo.has_types(TokenTypes::STATUS_WRITE)
                 && lo.status.is_some()
             {
-                // Partial first/last pages need their old contents.
+                // Partial first/last pages need their old contents, read
+                // now: writing the pages between them may evict them.
                 let first = offset / PAGE_SIZE as u64;
                 let last = (offset + data.len() as u64 - 1) / PAGE_SIZE as u64;
                 let eof = lo.status.as_ref().map(|s| s.length).unwrap_or(0);
+                let mut old: Vec<(u64, Vec<u8>)> = Vec::new();
                 let mut need_fetch = Vec::new();
-                for p in [first, last] {
+                let ends = if first == last { &[first][..] } else { &[first, last][..] };
+                for &p in ends {
                     let ps = p * PAGE_SIZE as u64;
                     let full = offset <= ps && offset + data.len() as u64 >= ps + PAGE_SIZE as u64;
-                    if !full && !lo.valid.contains(&p) && ps < eof {
+                    if full {
+                        continue;
+                    }
+                    if lo.valid.contains(&p) {
+                        match self.valid_page(&lo, fid, p, &fetched) {
+                            Some(page) => {
+                                old.push((p, page));
+                                continue;
+                            }
+                            None => {
+                                lo.valid.remove(&p);
+                            }
+                        }
+                    }
+                    if ps < eof {
                         need_fetch.push(p);
                     }
                 }
-                need_fetch.dedup();
                 if !need_fetch.is_empty() {
-                    let need_fetch2 = need_fetch.clone();
+                    let mut got = Vec::new();
+                    let mut failed = None;
                     lo.in_flight += 1;
                     drop(lo);
                     for p in need_fetch {
@@ -1820,18 +1706,32 @@ impl CacheManager {
                                 want: None,
                             },
                         );
-                        // `stale_us: 0`: a replica's bounded-stale page
-                        // must never be merged under a write token — the
-                        // unmodified part of the page would store back
-                        // stale bytes (a lost update).
-                        if let Ok(Response::Data { bytes, stale_us: 0, .. }) = resp {
-                            self.data.write_page(fid, p, &bytes)?;
+                        match resp.and_then(Response::into_result) {
+                            Ok(Response::Data { bytes, stale_us: 0, .. }) => {
+                                self.data.write_page(fid, p, &bytes)?;
+                                fetched.retain(|(q, _)| *q != p);
+                                fetched.push((p, bytes));
+                                got.push(p);
+                            }
+                            // A replica's bounded-stale page must never be
+                            // merged under a write token: the unmodified
+                            // part of the page would store back stale
+                            // bytes (a lost update).
+                            Ok(Response::Data { .. }) => failed = Some(DfsError::Unavailable),
+                            Ok(_) => failed = Some(DfsError::Internal("bad FetchData response")),
+                            Err(e) => failed = Some(e),
+                        }
+                        if failed.is_some() {
+                            break;
                         }
                     }
-                    lo = vn.lock_lo();
+                    lo = vn.lo.lock();
                     lo.in_flight -= 1;
-                    for p in need_fetch2 {
+                    for p in got {
                         lo.valid.insert(p);
+                    }
+                    if let Some(e) = failed {
+                        return Err(e);
                     }
                     // Tokens may have been revoked while fetching (§6.3):
                     // drain the queue and re-check coverage.
@@ -1849,8 +1749,10 @@ impl CacheManager {
                     let p = pos / PAGE_SIZE as u64;
                     let within = (pos % PAGE_SIZE as u64) as usize;
                     let n = (PAGE_SIZE - within).min(data.len() - done);
-                    let mut page =
-                        self.data.read_page(fid, p).unwrap_or_else(|| vec![0; PAGE_SIZE]);
+                    let mut page = match old.iter().position(|(q, _)| *q == p) {
+                        Some(i) => old.swap_remove(i).1,
+                        None => self.data.read_page(fid, p).unwrap_or_else(|| vec![0; PAGE_SIZE]),
+                    };
                     page[within..within + n].copy_from_slice(&data[done..done + n]);
                     self.data.write_page(fid, p, &page)?;
                     lo.valid.insert(p);
@@ -1884,7 +1786,7 @@ impl CacheManager {
             if round > 4 {
                 drop(lo);
                 self.backoff(fid, round);
-                lo = vn.lock_lo();
+                lo = vn.lo.lock();
             }
             // Acquire data and status tokens in one combined grant over
             // a page-aligned hull so nearby writes stay local; typed
@@ -1909,7 +1811,7 @@ impl CacheManager {
                     },
                 },
             );
-            lo = vn.lock_lo();
+            lo = vn.lo.lock();
             lo.in_flight -= 1;
             match resp?.into_result()? {
                 Response::Status { status, tokens, stamp, .. } => {
@@ -1938,12 +1840,12 @@ impl CacheManager {
         };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight += 1;
         drop(lo);
         let resp = self
             .file_rpc(fid.volume, Request::GetToken { fid, want: TokenRequest { types, range } });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result()? {
             Response::Status { status, tokens, stamp, .. } => {
@@ -1958,7 +1860,7 @@ impl CacheManager {
     pub fn fsync(&self, fid: Fid) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let had_dirty = !vn.lock_lo().dirty.is_empty();
+        let had_dirty = !vn.lo.lock().dirty.is_empty();
         self.store_back(&vn, None)?;
         if !had_dirty {
             // Nothing shipped, so no store-back forced the server's
@@ -1976,7 +1878,7 @@ impl CacheManager {
     pub fn lookup(&self, dir: Fid, name: &str) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         if lo.dir_trusted() {
             if let Some(st) = lo.names.get(name) {
                 self.stats.lock().lookup_hits += 1;
@@ -2002,7 +1904,7 @@ impl CacheManager {
                 )),
             },
         );
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result() {
             Ok(Response::Status { status, tokens, stamp, .. }) => {
@@ -2011,7 +1913,7 @@ impl CacheManager {
                 drop(lo);
                 // Seed the child vnode's status too.
                 let child = self.vnode(status.fid);
-                let mut clo = child.lock_lo();
+                let mut clo = child.lo.lock();
                 if !clo.merge_status(status.clone(), stamp) {
                     self.stats.lock().stale_status_dropped += 1;
                 }
@@ -2026,7 +1928,7 @@ impl CacheManager {
     pub fn readdir(&self, dir: Fid) -> DfsResult<Vec<DirEntry>> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         if lo.dir_trusted() {
             if let Some(l) = &lo.listing {
                 self.stats.lock().lookup_hits += 1;
@@ -2036,7 +1938,7 @@ impl CacheManager {
         lo.in_flight += 1;
         drop(lo);
         let resp = self.file_rpc(dir.volume, Request::Readdir { dir });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result()? {
             Response::Entries(entries) => {
@@ -2052,11 +1954,11 @@ impl CacheManager {
     fn namespace_rpc(&self, dir: Fid, req: Request) -> DfsResult<FileStatus> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight += 1;
         drop(lo);
         let resp = self.file_rpc(dir.volume, req);
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result() {
             Ok(Response::Status { status, tokens, stamp, .. }) => {
@@ -2067,7 +1969,7 @@ impl CacheManager {
                 lo.listing = None;
                 drop(lo);
                 let child = self.vnode(status.fid);
-                let mut clo = child.lock_lo();
+                let mut clo = child.lo.lock();
                 clo.merge_status(status.clone(), stamp);
                 Ok(status)
             }
@@ -2082,7 +1984,7 @@ impl CacheManager {
         let st =
             self.namespace_rpc(dir, Request::Create { dir, name: name.into(), mode })?;
         let vn = self.vnode(dir);
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.names.insert(name.to_string(), st.clone());
         Ok(st)
     }
@@ -2091,7 +1993,7 @@ impl CacheManager {
     pub fn mkdir(&self, dir: Fid, name: &str, mode: u16) -> DfsResult<FileStatus> {
         let st = self.namespace_rpc(dir, Request::Mkdir { dir, name: name.into(), mode })?;
         let vn = self.vnode(dir);
-        vn.lock_lo().names.insert(name.to_string(), st.clone());
+        vn.lo.lock().names.insert(name.to_string(), st.clone());
         Ok(st)
     }
 
@@ -2120,10 +2022,10 @@ impl CacheManager {
     pub fn remove(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let st = self.namespace_rpc(dir, Request::Remove { dir, name: name.into() })?;
         let vn = self.vnode(dir);
-        vn.lock_lo().names.remove(name);
+        vn.lo.lock().names.remove(name);
         // Invalidate the victim's cached state.
         let victim = self.vnode(st.fid);
-        let mut vlo = victim.lock_lo();
+        let mut vlo = victim.lo.lock();
         vlo.status = None;
         vlo.valid.clear();
         self.clear_dirty(&mut vlo);
@@ -2135,11 +2037,11 @@ impl CacheManager {
     pub fn rmdir(&self, dir: Fid, name: &str) -> DfsResult<()> {
         let vn = self.vnode(dir);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight += 1;
         drop(lo);
         let resp = self.file_rpc(dir.volume, Request::Rmdir { dir, name: name.into() });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         resp?.into_result()?;
         lo.names.remove(name);
@@ -2167,7 +2069,7 @@ impl CacheManager {
         .into_result()?;
         for (d, n) in [(src_dir, src_name), (dst_dir, dst_name)] {
             let vn = self.vnode(d);
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             lo.names.remove(n);
             lo.listing = None;
         }
@@ -2177,28 +2079,8 @@ impl CacheManager {
     /// Returns the file's status, from cache when the token allows.
     pub fn getattr(&self, fid: Fid) -> DfsResult<FileStatus> {
         let vn = self.vnode(fid);
-        if self.lockfree {
-            // Same seqlock dance as `try_lockfree_read`, but only the
-            // status needs validating — no pages to copy.
-            let s1 = vn.lo_seq.load(Ordering::SeqCst);
-            if s1 & 1 == 0 {
-                if let Some(view) = vn.published.load() {
-                    if let Some(st) = view.status.as_ref() {
-                        if tokens_trust_status(&view.tokens)
-                            && vn.lo_seq.load(Ordering::SeqCst) == s1
-                        {
-                            let st = st.clone();
-                            let mut stats = self.stats.lock();
-                            stats.local_reads += 1;
-                            stats.lockfree_reads += 1;
-                            return Ok(st);
-                        }
-                    }
-                }
-            }
-        }
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         if lo.status_trusted() {
             self.stats.lock().local_reads += 1;
             return Ok(lo.status.clone().expect("trusted implies present"));
@@ -2209,7 +2091,7 @@ impl CacheManager {
             fid.volume,
             Request::FetchStatus { fid, want: TokenRequest::whole(TokenTypes::STATUS_READ) },
         );
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result()? {
             Response::Status { status, tokens, stamp, stale_us, .. } => {
@@ -2234,12 +2116,12 @@ impl CacheManager {
         let _hi = vn.hi.lock();
         // Push dirty data first so truncation happens after our writes.
         self.store_back(&vn, None)?;
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight += 1;
         drop(lo);
         let resp =
             self.file_rpc(fid.volume, Request::StoreStatus { fid, attrs: attrs.clone() });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result()? {
             Response::Status { status, tokens, stamp, .. } => {
@@ -2280,7 +2162,7 @@ impl CacheManager {
     pub fn open(&self, fid: Fid, mode: OpenMode) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         let tok = mode.token();
         if !lo.has_types(tok) {
             lo.in_flight += 1;
@@ -2292,7 +2174,7 @@ impl CacheManager {
                     want: TokenRequest { types: tok, range: ByteRange::WHOLE },
                 },
             );
-            lo = vn.lock_lo();
+            lo = vn.lo.lock();
             lo.in_flight -= 1;
             match resp?.into_result()? {
                 Response::Status { status, tokens, stamp, .. } => {
@@ -2312,7 +2194,7 @@ impl CacheManager {
         let _hi = vn.hi.lock();
         let tok = mode.token();
         {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             if let Some(i) = lo.opens.iter().position(|t| *t == tok) {
                 lo.opens.remove(i);
             }
@@ -2324,7 +2206,7 @@ impl CacheManager {
     pub fn lock(&self, fid: Fid, range: ByteRange, write: bool) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         let needed = if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
         if lo.find_token(needed, &range).is_some() {
             // Local conflict check among our own lockers.
@@ -2337,7 +2219,7 @@ impl CacheManager {
         lo.in_flight += 1;
         drop(lo);
         let resp = self.file_rpc(fid.volume, Request::SetLock { fid, range, write });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         resp?.into_result()?;
         lo.locks.push(HeldLock { range, write, local: false });
@@ -2349,12 +2231,12 @@ impl CacheManager {
         let types = if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight += 1;
         drop(lo);
         let resp = self
             .file_rpc(fid.volume, Request::GetToken { fid, want: TokenRequest { types, range } });
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         lo.in_flight -= 1;
         match resp?.into_result()? {
             Response::Status { status, tokens, stamp, .. } => {
@@ -2369,7 +2251,7 @@ impl CacheManager {
     pub fn unlock(&self, fid: Fid, range: ByteRange) -> DfsResult<()> {
         let vn = self.vnode(fid);
         let _hi = vn.hi.lock();
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         let mut was_remote = false;
         lo.locks.retain(|l| {
             if l.range.overlaps(&range) {
@@ -2383,7 +2265,7 @@ impl CacheManager {
             lo.in_flight += 1;
             drop(lo);
             let resp = self.file_rpc(fid.volume, Request::ReleaseLock { fid, range });
-            let mut lo2 = vn.lock_lo();
+            let mut lo2 = vn.lo.lock();
             lo2.in_flight -= 1;
             resp?.into_result()?;
         }
@@ -2392,12 +2274,12 @@ impl CacheManager {
 
     /// Returns tokens currently held on a fid (diagnostics/tests).
     pub fn held_tokens(&self, fid: Fid) -> Vec<Token> {
-        self.vnode(fid).lock_lo().tokens.clone()
+        self.vnode(fid).lo.lock().tokens.clone()
     }
 
     /// Returns the number of dirty (unstored) pages for a fid.
     pub fn dirty_pages(&self, fid: Fid) -> usize {
-        self.vnode(fid).lock_lo().dirty.len()
+        self.vnode(fid).lo.lock().dirty.len()
     }
 
     /// Client-wide count of dirty (unstored) pages, O(1).
@@ -2423,7 +2305,7 @@ impl CacheManager {
         // Revocations take ONLY the low-level lock (§6.1): the
         // high-level lock may be held by one of our own
         // operations blocked on this very server.
-        let mut lo = vn.lock_lo();
+        let mut lo = vn.lo.lock();
         let known = lo.tokens.iter().any(|t| t.id == token.id);
         if !known {
             if lo.in_flight > 0 {
@@ -2576,14 +2458,14 @@ mod tests {
         // in flight (§6.3): it parks in the queue. Two RPCs are out —
         // say a FetchData and a flusher store-back.
         {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             lo.in_flight = 2;
             lo.queued.push((t.clone(), t.types, SerializationStamp(7)));
         }
         // The unrelated reply (no tokens) merges first: the queued
         // revocation must survive this drain — its token is airborne.
         {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             lo.in_flight -= 1;
             cm.absorb(&vn, &mut lo, None, Vec::new());
             assert_eq!(lo.queued.len(), 1, "revocation of an in-flight token must stay queued");
@@ -2591,7 +2473,7 @@ mod tests {
         // The granting reply lands: the token installs and the parked
         // revocation strips it in the same merge.
         {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             lo.in_flight -= 1;
             cm.absorb(&vn, &mut lo, None, vec![t.clone()]);
             assert!(lo.queued.is_empty());
@@ -2600,7 +2482,7 @@ mod tests {
         // A revocation whose token never arrives is dropped once nothing
         // is in flight any more (returned voluntarily — genuinely moot).
         {
-            let mut lo = vn.lock_lo();
+            let mut lo = vn.lo.lock();
             lo.queued.push((
                 tok(43, TokenTypes::DATA_READ, ByteRange::WHOLE),
                 TokenTypes::DATA_READ,

@@ -2,7 +2,7 @@
 //! protocol exporter over Episode, exercising the token protocol of §5
 //! and the locking/serialization machinery of §6.
 
-use dfs_client::{CacheManager, MemCache, OpenMode};
+use dfs_client::{CacheManager, DiskCache, MemCache, OpenMode, PAGE_SIZE};
 use dfs_disk::{DiskConfig, SimDisk};
 use dfs_episode::{Episode, FormatParams};
 use dfs_rpc::{Addr, Network, PoolConfig};
@@ -75,7 +75,7 @@ fn create_write_read_through_cache_manager() {
 #[test]
 fn repeated_reads_are_local_after_first_fetch() {
     let cell = cell(1);
-    let cm = client(&cell, 1);
+    let cm = client_no_flusher(&cell, 1);
     let root = cm.root(VolumeId(1)).unwrap();
     let f = cm.create(root, "f", 0o644).unwrap();
     cm.write(f.fid, 0, &vec![7u8; 10_000]).unwrap();
@@ -448,4 +448,57 @@ fn queued_revocation_race_is_handled() {
     for cm in &clients[1..] {
         assert_eq!(cm.read(f.fid, 0, 2048).unwrap(), reference);
     }
+}
+
+/// A no-flusher client whose data cache is a local disk of `blocks`
+/// pages, so a single fetch overflows it and evicts pages still listed
+/// as valid.
+fn client_small_disk_cache(cell: &Cell, n: u32, blocks: u32) -> Arc<CacheManager> {
+    CacheManager::start_with_config(
+        cell.net.clone(),
+        ClientId(n),
+        vec![Addr::Vldb(0)],
+        Arc::new(DiskCache::new(SimDisk::new(DiskConfig::with_blocks(blocks)))),
+        dfs_client::WritebackConfig { flusher: false, ..Default::default() },
+    )
+}
+
+/// Creates an 8-page file whose page `i` is filled with byte `i + 1`.
+fn eight_page_file(writer: &CacheManager) -> dfs_types::Fid {
+    let root = writer.root(VolumeId(1)).unwrap();
+    let f = writer.create(root, "eight", 0o666).unwrap();
+    let data: Vec<u8> = (0..8u8).flat_map(|i| vec![i + 1; PAGE_SIZE]).collect();
+    writer.write(f.fid, 0, &data).unwrap();
+    writer.fsync(f.fid).unwrap();
+    f.fid
+}
+
+#[test]
+fn evicted_clean_page_is_refetched_not_zero_filled() {
+    let cell = cell(1);
+    let writer = client(&cell, 1);
+    let fid = eight_page_file(&writer);
+    // One fetch brings all 8 pages into a 4-page cache: pages 0..3 are
+    // evicted while the fetch installs 4..7.
+    let reader = client_small_disk_cache(&cell, 2, 4);
+    for p in [0u64, 7, 1, 0] {
+        let got = reader.read(fid, p * PAGE_SIZE as u64, PAGE_SIZE).unwrap();
+        assert_eq!(got, vec![p as u8 + 1; PAGE_SIZE], "page {p}");
+    }
+}
+
+#[test]
+fn partial_write_over_evicted_page_keeps_the_servers_bytes() {
+    let cell = cell(1);
+    let writer = client(&cell, 1);
+    let fid = eight_page_file(&writer);
+    let small = client_small_disk_cache(&cell, 2, 4);
+    // A read at page 0 fetches pages 0..7: all valid, only 4..7 cached.
+    small.read(fid, 0, 1).unwrap();
+    // Overwrite 10 bytes in the middle of evicted page 1.
+    small.write(fid, PAGE_SIZE as u64 + 100, &[0xAB; 10]).unwrap();
+    small.fsync(fid).unwrap();
+    let mut want = vec![2u8; PAGE_SIZE];
+    want[100..110].fill(0xAB);
+    assert_eq!(writer.read(fid, PAGE_SIZE as u64, PAGE_SIZE).unwrap(), want);
 }

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 pub type FieldKey = (String, String);
 
 /// Every rule name the suppression syntax accepts.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     "lock-order",
     "guard-across-revoke",
     "guard-across-rpc",
@@ -27,37 +27,8 @@ pub const RULES: [&str; 9] = [
     "std-sync",
     "lockset",
     "lock-gap",
-    "shard-order",
     "unused-allow",
 ];
-
-/// Strips the shard suffix a sharded acquisition carries (`shards#3`,
-/// `shards#?`, `shards#*`) back to the declared field name, which is
-/// what the rank/exemption tables are keyed by.
-fn base(name: &str) -> &str {
-    name.split('#').next().unwrap_or(name)
-}
-
-/// The shard index of an acquisition name, when it has one.
-enum ShardIdx {
-    /// Not a sharded acquisition.
-    None,
-    /// `field#N` — a literal index, statically comparable.
-    Lit(u64),
-    /// `field#?` — a computed index; runtime `acquire_indexed` judges it.
-    Dyn,
-    /// `field#*` — `lock_all`, which holds every shard.
-    All,
-}
-
-fn shard_idx(name: &str) -> ShardIdx {
-    match name.split_once('#') {
-        None => ShardIdx::None,
-        Some((_, "?")) => ShardIdx::Dyn,
-        Some((_, "*")) => ShardIdx::All,
-        Some((_, n)) => n.parse().map(ShardIdx::Lit).unwrap_or(ShardIdx::Dyn),
-    }
-}
 
 struct FieldInfo {
     rank: Option<u16>,
@@ -168,7 +139,7 @@ pub fn analyze(files: &[FileFacts]) -> Vec<Diagnostic> {
         }
     };
     let exempt_field = |k: &FieldKey, rule: &str| -> bool {
-        let Some(info) = fields.get(&(k.0.clone(), base(&k.1).to_string())) else { return false };
+        let Some(info) = fields.get(k) else { return false };
         if !info.exempt.contains(rule) {
             return false;
         }
@@ -269,7 +240,7 @@ pub fn analyze(files: &[FileFacts]) -> Vec<Diagnostic> {
                 let to = (f.crate_name.clone(), a.field.clone());
                 for (h, hline) in &a.held {
                     let from = (f.crate_name.clone(), h.clone());
-                    if from == to && !h.contains('#') {
+                    if from == to {
                         // Rule (c): double acquisition of one field while
                         // its own guard is still live.
                         let line_ok = suppressed_at(fi, a.line, "double-lock");
@@ -285,46 +256,6 @@ pub fn analyze(files: &[FileFacts]) -> Vec<Diagnostic> {
                                     a.field, hline
                                 ),
                             });
-                        }
-                        continue;
-                    }
-                    if base(h) == base(&a.field) && h.contains('#') {
-                        // Rule (h): same-field shard nesting. The sharded
-                        // mutex's only legal multi-shard pattern is
-                        // strictly ascending indices; `lock_all` already
-                        // holds every shard, so overlapping it with any
-                        // same-field acquisition self-deadlocks. Computed
-                        // indices are deferred to the runtime enforcer.
-                        let message = match (shard_idx(h), shard_idx(&a.field)) {
-                            (ShardIdx::Dyn, _) | (_, ShardIdx::Dyn) => None,
-                            (ShardIdx::All, _) | (_, ShardIdx::All) => Some(format!(
-                                "acquiring `{}` while `{}` (line {}) holds every shard; a \
-                                 lock_all guard must never overlap another acquisition of the \
-                                 same sharded lock (self-deadlock)",
-                                a.field, h, hline
-                            )),
-                            (ShardIdx::Lit(x), ShardIdx::Lit(y)) if y <= x => Some(format!(
-                                "acquiring shard {} of `{}` while shard {} (line {}) is held; \
-                                 same-field shards must be acquired in strictly ascending index \
-                                 order",
-                                y,
-                                base(&a.field),
-                                x,
-                                hline
-                            )),
-                            _ => None,
-                        };
-                        if let Some(message) = message {
-                            if !exempt_field(&to, "shard-order")
-                                && !suppressed_at(fi, a.line, "shard-order")
-                            {
-                                diags.push(Diagnostic {
-                                    path: f.path.clone(),
-                                    line: a.line,
-                                    rule: "shard-order".into(),
-                                    message,
-                                });
-                            }
                         }
                         continue;
                     }
@@ -444,19 +375,7 @@ pub fn analyze(files: &[FileFacts]) -> Vec<Diagnostic> {
 
     // ---- rule (a): rank inversions on edges ----
     for e in &edges {
-        if e.from.0 == e.to.0 && base(&e.from.1) == base(&e.to.1) {
-            // Same sharded field reached through a call: the intra-fn
-            // shard-order rule and the runtime indexed enforcer own
-            // same-field ordering; rank comparison would misread it as
-            // same-rank nesting.
-            continue;
-        }
-        let (Some(fa), Some(fb)) = (
-            fields.get(&(e.from.0.clone(), base(&e.from.1).to_string())),
-            fields.get(&(e.to.0.clone(), base(&e.to.1).to_string())),
-        ) else {
-            continue;
-        };
+        let (Some(fa), Some(fb)) = (fields.get(&e.from), fields.get(&e.to)) else { continue };
         let (Some(ra), Some(rb)) = (fa.rank, fb.rank) else { continue };
         if rb > ra {
             continue; // ascending — the sanctioned direction
@@ -520,8 +439,7 @@ pub fn analyze(files: &[FileFacts]) -> Vec<Diagnostic> {
         }
         false
     };
-    let ranked =
-        |k: &FieldKey| fields.get(&(k.0.clone(), base(&k.1).to_string())).and_then(|f| f.rank).is_some();
+    let ranked = |k: &FieldKey| fields.get(k).and_then(|f| f.rank).is_some();
     let mut reported: BTreeSet<(FieldKey, FieldKey)> = BTreeSet::new();
     for e in &edges {
         if e.from == e.to {

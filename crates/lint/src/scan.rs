@@ -32,13 +32,10 @@ pub struct Sp {
 }
 
 /// Methods that acquire a lock when invoked on a known lock field.
-/// `lock_all` is the sharded mutex's whole-table acquisition; its
-/// acquisition name carries a `#*` suffix (see the shard arm below).
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write", "lock_all"];
+const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 
 /// Lock type names recognised in field declarations.
-const LOCK_TYPES: &[&str] =
-    &["Mutex", "RwLock", "OrderedMutex", "OrderedRwLock", "OrderedShardedMutex"];
+const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "OrderedMutex", "OrderedRwLock"];
 
 /// Method/function names never treated as workspace calls. These are
 /// overwhelmingly std collection/iterator/option methods; resolving
@@ -387,10 +384,7 @@ struct StructFields {
 /// from shared-data-field tracking: atomics order their own accesses,
 /// condvars carry no data, `PhantomData` is zero-sized.
 fn exempt_data_type(head: &str) -> bool {
-    head.starts_with("Atomic")
-        || head == "Condvar"
-        || head == "PhantomData"
-        || head == "SnapshotCell"
+    head.starts_with("Atomic") || head == "Condvar" || head == "PhantomData"
 }
 
 /// Parses every `struct Name { ... }` body in the token stream into its
@@ -1062,12 +1056,7 @@ fn analyze_body(
                         .map(|f| lock_fields.contains(f))
                         .unwrap_or(false) =>
             {
-                let base = ident(body, i - 2).unwrap();
-                // `lock_all()` holds every shard of a sharded field at
-                // once; the `#*` suffix marks that for the shard-order
-                // rule while `base` remains the declared field.
-                let field =
-                    if m == "lock_all" { format!("{base}#*") } else { base.to_string() };
+                let field = ident(body, i - 2).unwrap().to_string();
                 let line = body[i].line;
                 let acq_idx = f.acquisitions.len();
                 f.acquisitions.push(Acquisition {
@@ -1100,134 +1089,6 @@ fn analyze_body(
                 } else {
                     // Statement temporary (`self.f.lock().x += 1`): the guard
                     // lives only for this expression — classify what it does.
-                    let a = &mut f.acquisitions[acq_idx];
-                    match classify_after(body, i + 3) {
-                        Proj::Write { line: wl, eq } => {
-                            a.writes = true;
-                            a.write_line = wl;
-                            a.revalidated = compound_assign(body, eq);
-                        }
-                        Proj::Read | Proj::Compare => a.reads = true,
-                    }
-                }
-                i += 3;
-                stmt_start = false;
-            }
-            // `field.lock(idx)` on a sharded lock: the shard index joins
-            // the lock identity — `field#3` for a literal, `field#?` when
-            // the index is computed (runtime `acquire_indexed` judges
-            // those) — so the shard-order rule can check same-field
-            // nesting statically where the index is knowable.
-            Tok::Ident(m)
-                if m == "lock"
-                    && is_punct(body, i.wrapping_sub(1), '.')
-                    && matches!(body.get(i + 1).map(|s| &s.tok), Some(Tok::LParen))
-                    && !matches!(body.get(i + 2).map(|s| &s.tok), Some(Tok::RParen))
-                    && ident(body, i.wrapping_sub(2))
-                        .map(|f| lock_fields.contains(f))
-                        .unwrap_or(false) =>
-            {
-                // Matching close paren of the argument list.
-                let mut d = 0i32;
-                let mut close = i + 1;
-                while close < body.len() {
-                    match body[close].tok {
-                        Tok::LParen | Tok::LBracket | Tok::LBrace => d += 1,
-                        Tok::RParen | Tok::RBracket | Tok::RBrace => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    close += 1;
-                }
-                let base = ident(body, i - 2).unwrap();
-                let field = match (close == i + 3, body.get(i + 2).map(|s| &s.tok)) {
-                    (true, Some(Tok::Num(n))) => format!("{base}#{n}"),
-                    _ => format!("{base}#?"),
-                };
-                let line = body[i].line;
-                let acq_idx = f.acquisitions.len();
-                f.acquisitions.push(Acquisition {
-                    field: field.clone(),
-                    line,
-                    held: held_fields(&scopes),
-                    receiver: dotted_receiver(body, i - 2),
-                    reads: false,
-                    writes: false,
-                    write_line: 0,
-                    revalidated: false,
-                });
-                let binds = pending_binding.is_some()
-                    && !binding_used
-                    && !value_projected
-                    && is_punct(body, close + 1, ';');
-                if binds {
-                    binding_used = true;
-                    let gname = pending_binding.clone();
-                    if let Some(n) = gname.as_deref() {
-                        guard_remove(&mut scopes, n);
-                    }
-                    scopes
-                        .last_mut()
-                        .unwrap()
-                        .push(Guard { name: gname, field, line, acq: acq_idx });
-                } else {
-                    let a = &mut f.acquisitions[acq_idx];
-                    match classify_after(body, close + 1) {
-                        Proj::Write { line: wl, eq } => {
-                            a.writes = true;
-                            a.write_line = wl;
-                            a.revalidated = compound_assign(body, eq);
-                        }
-                        Proj::Read | Proj::Compare => a.reads = true,
-                    }
-                }
-                i = close + 1;
-                stmt_start = false;
-            }
-            // `x.lock_lo()` — the client's publishing wrapper around the
-            // vnode `lo` mutex: counts as an acquisition of `lo` itself
-            // (same receiver semantics as a bare `lo.lock()`), keeping
-            // the lock-order / lock-gap pairing intact across the
-            // seqlock refactor.
-            Tok::Ident(m)
-                if m == "lock_lo"
-                    && is_punct(body, i.wrapping_sub(1), '.')
-                    && matches!(body.get(i + 1).map(|s| &s.tok), Some(Tok::LParen))
-                    && matches!(body.get(i + 2).map(|s| &s.tok), Some(Tok::RParen))
-                    && lock_fields.contains("lo") =>
-            {
-                let field = "lo".to_string();
-                let line = body[i].line;
-                let acq_idx = f.acquisitions.len();
-                f.acquisitions.push(Acquisition {
-                    field: field.clone(),
-                    line,
-                    held: held_fields(&scopes),
-                    receiver: dotted_receiver(body, i),
-                    reads: false,
-                    writes: false,
-                    write_line: 0,
-                    revalidated: false,
-                });
-                let binds = pending_binding.is_some()
-                    && !binding_used
-                    && !value_projected
-                    && is_punct(body, i + 3, ';');
-                if binds {
-                    binding_used = true;
-                    let gname = pending_binding.clone();
-                    if let Some(n) = gname.as_deref() {
-                        guard_remove(&mut scopes, n);
-                    }
-                    scopes
-                        .last_mut()
-                        .unwrap()
-                        .push(Guard { name: gname, field, line, acq: acq_idx });
-                } else {
                     let a = &mut f.acquisitions[acq_idx];
                     match classify_after(body, i + 3) {
                         Proj::Write { line: wl, eq } => {
@@ -1558,49 +1419,6 @@ impl F {
         assert!(fixed.acquisitions[0].writes && fixed.acquisitions[0].revalidated);
         let counter = facts.fns.iter().find(|f| f.name == "counter").unwrap();
         assert!(counter.acquisitions[0].revalidated, "compound assign re-reads");
-    }
-
-    #[test]
-    fn sharded_acquisitions_encode_their_index() {
-        let src = "
-pub struct S { shards: OrderedShardedMutex<u32, 122> }
-impl S {
-    fn f(&self) {
-        let g = self.shards.lock(3);
-        let h = self.shards.lock(self.pick(7));
-        let all = self.shards.lock_all();
-        let _ = (*g, *h, all.len());
-    }
-}
-";
-        let fields = lock_field_names(src);
-        assert!(fields.contains("shards"), "sharded mutex is a lock field");
-        let facts = scan_file("x", "x/src/lib.rs", src, &fields, &shared_data_field_names(src));
-        let names: Vec<&str> =
-            facts.fns[0].acquisitions.iter().map(|a| a.field.as_str()).collect();
-        assert_eq!(
-            names,
-            ["shards#3", "shards#?", "shards#*"],
-            "literal index, computed index, and lock_all each get their own identity"
-        );
-    }
-
-    #[test]
-    fn lock_lo_counts_as_acquiring_lo() {
-        let src = "
-pub struct V { lo: OrderedMutex<u32, 30> }
-impl V {
-    fn take(&self, vn: &V) {
-        let g = vn.lock_lo();
-        let _ = g.status;
-    }
-}
-";
-        let fields = lock_field_names(src);
-        let facts = scan_file("x", "x/src/lib.rs", src, &fields, &shared_data_field_names(src));
-        let a = &facts.fns[0].acquisitions[0];
-        assert_eq!((a.field.as_str(), a.receiver.as_str()), ("lo", "vn"));
-        assert!(a.reads, "projection through the bound guard is a read");
     }
 
     #[test]

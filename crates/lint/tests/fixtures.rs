@@ -63,33 +63,6 @@ fn guard_across_revoke_fixture_flags_only_the_bad_paths() {
 }
 
 #[test]
-fn shard_order_fixture_flags_descending_and_overlapping_shards() {
-    assert_eq!(
-        lint("shard_order"),
-        vec![
-            "alpha/src/lib.rs:15: [shard-order] acquiring shard 0 of `shards` while shard 1 \
-             (line 14) is held; same-field shards must be acquired in strictly ascending \
-             index order",
-            "alpha/src/lib.rs:27: [shard-order] acquiring `shards#0` while `shards#*` \
-             (line 26) holds every shard; a lock_all guard must never overlap another \
-             acquisition of the same sharded lock (self-deadlock)",
-        ]
-    );
-}
-
-#[test]
-fn lock_shard_fixture_flags_descending_lock_table_shards() {
-    assert_eq!(
-        lint("lock_shard"),
-        vec![
-            "alpha/src/lib.rs:16: [shard-order] acquiring shard 1 of `shards` while shard 3 \
-             (line 15) is held; same-field shards must be acquired in strictly ascending \
-             index order",
-        ]
-    );
-}
-
-#[test]
 fn guard_across_rpc_fixture_flags_direct_and_transitive_sends() {
     assert_eq!(
         lint("guard_across_rpc"),
@@ -183,8 +156,7 @@ fn unused_allow_fixture_flags_stale_and_unknown_suppressions() {
              nothing here; remove the stale annotation",
             "alpha/src/lib.rs:17: [unused-allow] `dfs-lint: allow(guard-accross-rpc)` names \
              an unknown rule; known rules are lock-order, guard-across-revoke, \
-             guard-across-rpc, double-lock, std-sync, lockset, lock-gap, shard-order, \
-             unused-allow",
+             guard-across-rpc, double-lock, std-sync, lockset, lock-gap, unused-allow",
         ]
     );
 }

@@ -109,7 +109,7 @@ impl Glue {
         // Local callers return tokens as soon as the call completes
         // (§5.5: "it can return the token any time after the VOP_RDWR
         // call has completed execution").
-        self.tm.release(self.host.id, token.id);
+        self.tm.release(self.host.id, token.fid, token.id);
         result
     }
 
@@ -127,13 +127,13 @@ impl Glue {
             self.host.enter(first.0);
             let result = f();
             self.host.exit(first.0);
-            self.tm.release(self.host.id, t1.id);
+            self.tm.release(self.host.id, t1.fid, t1.id);
             return result;
         }
         let t2 = match self.tm.grant(self.host.id, second.0, second.1, ByteRange::WHOLE) {
             Ok((t, _)) => t,
             Err(e) => {
-                self.tm.release(self.host.id, t1.id);
+                self.tm.release(self.host.id, t1.fid, t1.id);
                 return Err(e);
             }
         };
@@ -142,8 +142,8 @@ impl Glue {
         let result = f();
         self.host.exit(second.0);
         self.host.exit(first.0);
-        self.tm.release(self.host.id, t2.id);
-        self.tm.release(self.host.id, t1.id);
+        self.tm.release(self.host.id, t2.fid, t2.id);
+        self.tm.release(self.host.id, t1.fid, t1.id);
         result
     }
 }

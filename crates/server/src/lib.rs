@@ -504,7 +504,7 @@ impl FileServer {
         let result = f();
         let keep = want.is_some() && result.is_ok();
         if !keep {
-            self.tm.release(host, token.id);
+            self.tm.release(host, token.fid, token.id);
         } else {
             self.journal_holding(host);
         }
@@ -565,7 +565,7 @@ impl FileServer {
         let vol_fid = Fid::new(volume, VnodeId(0), 0);
         let (t, _) =
             self.tm.grant(HostId::Local(self.id.0), vol_fid, DIR_WRITE, ByteRange::WHOLE)?;
-        self.tm.release(HostId::Local(self.id.0), t.id);
+        self.tm.release(HostId::Local(self.id.0), t.fid, t.id);
         Ok(())
     }
 
@@ -577,7 +577,7 @@ impl FileServer {
         let vol_fid = Fid::new(volume, VnodeId(0), 0);
         let (t, _) =
             self.tm.grant(HostId::Local(self.id.0), vol_fid, DIR_READ, ByteRange::WHOLE)?;
-        self.tm.release(HostId::Local(self.id.0), t.id);
+        self.tm.release(HostId::Local(self.id.0), t.fid, t.id);
         Ok(())
     }
 
@@ -986,8 +986,7 @@ impl FileServer {
 
             Q::ReturnToken { fid, token } => {
                 let host = self.host_for(ctx.caller)?;
-                let _ = fid;
-                self.tm.release(host, token);
+                self.tm.release(host, fid, token);
                 Ok(P::Ok)
             }
 
@@ -1023,7 +1022,7 @@ impl FileServer {
                 let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
                     fs.link(&cred, dir, &name, target)
                 });
-                self.tm.release(host, t2.id);
+                self.tm.release(host, t2.fid, t2.id);
                 let (status, _t, stamp) = result?;
                 Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
             }
@@ -1047,7 +1046,7 @@ impl FileServer {
                 let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
                     fs.remove(&cred, dir, &name)
                 });
-                self.tm.release(host, vt.id);
+                self.tm.release(host, vt.fid, vt.id);
                 let (status, _t, stamp) = result?;
                 Ok(P::Status { status, tokens: Vec::new(), stamp, epoch: self.epoch, stale_us: 0 })
             }
@@ -1065,7 +1064,7 @@ impl FileServer {
                 let result = self.with_grant(host, dir, DIR_WRITE, ByteRange::WHOLE, None, || {
                     fs.rmdir(&cred, dir, &name)
                 });
-                self.tm.release(host, vt.id);
+                self.tm.release(host, vt.fid, vt.id);
                 result?;
                 Ok(P::Ok)
             }
@@ -1084,9 +1083,9 @@ impl FileServer {
                 };
                 let result = fs.rename(&cred, src_dir, &src_name, dst_dir, &dst_name);
                 if let Some(t) = t2 {
-                    self.tm.release(host, t.id);
+                    self.tm.release(host, t.fid, t.id);
                 }
-                self.tm.release(host, t1.id);
+                self.tm.release(host, t1.fid, t1.id);
                 result?;
                 Ok(P::Ok)
             }
@@ -1139,7 +1138,7 @@ impl FileServer {
                     if write { TokenTypes::LOCK_WRITE } else { TokenTypes::LOCK_READ };
                 let (t, _) = self.tm.grant(host, fid, types, range)?;
                 let result = self.locks.set(host, fid, range, write);
-                self.tm.release(host, t.id);
+                self.tm.release(host, t.fid, t.id);
                 result?;
                 Ok(P::Ok)
             }

@@ -4,31 +4,11 @@
 //! file lock" (§5.2). This table is where those server-mediated locks
 //! live; clients holding lock tokens manage equivalent state locally.
 //!
-//! Like the token manager (PR 8), the held-lock map is sharded by fid
-//! hash behind an [`OrderedShardedMutex`] at rank `LOCK_SHARD`: every
-//! `set`/`release`/`count` touches exactly one shard, and
-//! [`LockTable::release_owner`] walks the shards one at a time without
-//! ever nesting two guards, so lock-heavy mixed workloads stop
-//! serializing on a single table mutex. The shard count comes from
-//! `DFS_LOCK_SHARDS` (default 8, clamped to 1..=256), mirroring
-//! `DFS_TOKEN_SHARDS`.
+//! The table is one mutex at rank `LOCK_TABLE`, keyed by fid.
 
-use dfs_types::lock::{rank, OrderedShardedMutex};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{ByteRange, DfsError, DfsResult, Fid, HostId};
 use std::collections::HashMap;
-
-/// Default shard count when `DFS_LOCK_SHARDS` is unset.
-const DEFAULT_LOCK_SHARDS: usize = 8;
-
-/// Reads the lock-table shard count from `DFS_LOCK_SHARDS`, clamped to
-/// `1..=256`. Read once per table, at construction.
-fn shards_from_env() -> usize {
-    std::env::var("DFS_LOCK_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 256))
-        .unwrap_or(DEFAULT_LOCK_SHARDS)
-}
 
 /// One held lock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,9 +18,9 @@ struct HeldLock {
     write: bool,
 }
 
-/// A per-server table of byte-range file locks, sharded by fid hash.
+/// A per-server table of byte-range file locks.
 pub struct LockTable {
-    shards: OrderedShardedMutex<HashMap<Fid, Vec<HeldLock>>, { rank::LOCK_SHARD }>,
+    locks: OrderedMutex<HashMap<Fid, Vec<HeldLock>>, { rank::LOCK_TABLE }>,
 }
 
 impl Default for LockTable {
@@ -50,20 +30,9 @@ impl Default for LockTable {
 }
 
 impl LockTable {
-    /// Creates an empty table with the environment-selected shard count.
+    /// Creates an empty table.
     pub fn new() -> LockTable {
-        LockTable::with_shards(shards_from_env())
-    }
-
-    /// Creates an empty table with exactly `n` shards (tests).
-    pub fn with_shards(n: usize) -> LockTable {
-        LockTable { shards: OrderedShardedMutex::new(n.clamp(1, 256), HashMap::new) }
-    }
-
-    /// The shard holding `fid`'s locks — same `(volume, vnode)` hash as
-    /// the token shards, so a file's locks live wholly in one shard.
-    fn shard_of(&self, fid: Fid) -> usize {
-        dfs_token::shard_index(fid.volume, fid.vnode.0, self.shards.shard_count())
+        LockTable { locks: OrderedMutex::new(HashMap::new()) }
     }
 
     /// Sets a read or write lock, failing on conflict.
@@ -71,7 +40,7 @@ impl LockTable {
     /// Two read locks may overlap; a write lock conflicts with any
     /// overlapping lock held by another owner.
     pub fn set(&self, owner: HostId, fid: Fid, range: ByteRange, write: bool) -> DfsResult<()> {
-        let mut locks = self.shards.lock(self.shard_of(fid));
+        let mut locks = self.locks.lock();
         let held = locks.entry(fid).or_default();
         for l in held.iter() {
             if l.owner != owner && l.range.overlaps(&range) && (l.write || write) {
@@ -87,7 +56,7 @@ impl LockTable {
     /// end of `range` is trimmed (or split in two, when `range` falls in
     /// its middle) rather than dropped wholesale.
     pub fn release(&self, owner: HostId, fid: Fid, range: ByteRange) {
-        let mut locks = self.shards.lock(self.shard_of(fid));
+        let mut locks = self.locks.lock();
         if let Some(held) = locks.get_mut(&fid) {
             let mut kept = Vec::with_capacity(held.len());
             for l in held.drain(..) {
@@ -117,23 +86,18 @@ impl LockTable {
         }
     }
 
-    /// Releases everything held by `owner` (client death). Walks the
-    /// shards sequentially — one guard live at a time, never nested —
-    /// so owners dying concurrently cannot deadlock and per-file
-    /// traffic on other shards keeps flowing.
+    /// Releases everything held by `owner` (client death).
     pub fn release_owner(&self, owner: HostId) {
-        for i in 0..self.shards.shard_count() {
-            let mut locks = self.shards.lock(i);
-            for held in locks.values_mut() {
-                held.retain(|l| l.owner != owner);
-            }
-            locks.retain(|_, v| !v.is_empty());
+        let mut locks = self.locks.lock();
+        for held in locks.values_mut() {
+            held.retain(|l| l.owner != owner);
         }
+        locks.retain(|_, v| !v.is_empty());
     }
 
     /// Returns the number of locks held on `fid`.
     pub fn count(&self, fid: Fid) -> usize {
-        self.shards.lock(self.shard_of(fid)).get(&fid).map_or(0, |v| v.len())
+        self.locks.lock().get(&fid).map_or(0, |v| v.len())
     }
 }
 
@@ -220,24 +184,5 @@ mod tests {
         t.release_owner(host(1));
         assert_eq!(t.count(fid()), 0);
         t.set(host(2), fid(), ByteRange::new(0, 10), true).unwrap();
-    }
-
-    #[test]
-    fn sharding_is_observationally_transparent() {
-        // Same sequence of operations against 1-shard and 5-shard
-        // tables ends in the same observable state.
-        for shards in [1usize, 5] {
-            let t = LockTable::with_shards(shards);
-            let fids: Vec<Fid> =
-                (1u32..=16).map(|v| Fid::new(VolumeId(u64::from(v % 3 + 1)), VnodeId(v), 1)).collect();
-            for (i, &f) in fids.iter().enumerate() {
-                t.set(host((i % 4) as u32), f, ByteRange::new(0, 10), i % 2 == 0).unwrap();
-            }
-            t.release_owner(host(0));
-            for (i, &f) in fids.iter().enumerate() {
-                let expect = if i % 4 == 0 { 0 } else { 1 };
-                assert_eq!(t.count(f), expect, "shards={shards} fid #{i}");
-            }
-        }
     }
 }

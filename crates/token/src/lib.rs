@@ -19,67 +19,26 @@
 //! the server's serialization order, which clients use to merge
 //! concurrently-returned status information correctly.
 //!
-//! # Shard topology
+//! # Locking
 //!
-//! The grant and stamp tables are split into N fid-hash shards (default
-//! [`DEFAULT_TOKEN_SHARDS`], overridable via `DFS_TOKEN_SHARDS`), each
-//! behind its own mutex at rank [`rank::TOKEN_SHARD`], so grants and
-//! revocations on files that hash to different shards never contend.
-//! A file's grants, its stamps, and its volume's whole-volume (vnode-0)
-//! grants each live in exactly one shard, determined by
-//! [`shard_index`] over `(volume, vnode)` — `uniq` is excluded so every
-//! incarnation of a vnode shares a shard with its grant table entry.
-//!
-//! Single-file operations take at most two shards: the file's own and
-//! the one holding its volume's vnode-0 grants (whole-volume tokens
-//! conflict with every file token, §3.8). Whole-volume operations —
-//! volume-token grants, `export_volume`, `drop_volume` — take every
-//! shard. Whenever more than one shard is held, shards are acquired in
-//! ascending index order; the rank enforcer checks this in debug builds
-//! (same-rank nesting is legal only with strictly increasing shard
-//! indices). The host registry sits below the shards at rank
-//! [`rank::TOKEN_MANAGER`] and is never held across a shard
-//! acquisition or a revocation callback.
+//! The grant and stamp tables live behind one mutex at rank
+//! [`rank::TOKEN_MANAGER`], indexed by volume then vnode, so every
+//! per-token operation looks only at its own file's grants (and, for
+//! the conflict check, its volume's whole-volume grants). The host
+//! registry is a second mutex of the same rank; the two never nest, and
+//! neither is held across a revocation callback.
 
 pub mod types;
 
 pub use types::{compatible, conflict_bits, open_compatible, render_open_matrix, Token, TokenId, TokenTypes};
 
-use dfs_types::lock::{rank, OrderedMutex, OrderedShardGuard, OrderedShardedMutex};
+use dfs_types::lock::{rank, OrderedMutex};
 use dfs_types::{
     ByteRange, ClientId, DfsError, DfsResult, Fid, HostId, SerializationStamp, VolumeId,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default number of fid-hash shards for the token and host tables.
-pub const DEFAULT_TOKEN_SHARDS: usize = 8;
-
-/// Shard count from the `DFS_TOKEN_SHARDS` environment variable,
-/// clamped to `1..=256`; [`DEFAULT_TOKEN_SHARDS`] if unset or
-/// unparsable. Read once at construction so a live manager's topology
-/// never changes under it.
-pub fn shards_from_env() -> usize {
-    std::env::var("DFS_TOKEN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 256))
-        .unwrap_or(DEFAULT_TOKEN_SHARDS)
-}
-
-/// Maps `(volume, vnode)` to a shard index: a multiplicative hash on
-/// each component so consecutive vnodes of one volume spread across
-/// shards. `uniq` is deliberately excluded — grants are keyed by vnode
-/// and all of a file's coherence state must live in one shard.
-pub fn shard_index(volume: VolumeId, vnode: u32, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let h = volume.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ u64::from(vnode).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    ((h >> 32) as usize) % shards
-}
 
 /// The answer a host gives to a revocation request (§5.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -164,19 +123,37 @@ struct Grant {
     token: Token,
 }
 
-/// One fid-hash shard of the grant and stamp tables. A `(volume,
-/// vnode)` pair's grants and every `uniq` incarnation of its stamps
-/// live wholly inside the shard [`shard_index`] names.
+/// The grant and stamp tables.
 #[derive(Default)]
-struct TokenShard {
-    /// Live grants in this shard, keyed by volume then vnode (vnode 0
-    /// holds whole-volume tokens).
+struct TokenTable {
+    /// Live grants keyed by volume then vnode (vnode 0 holds
+    /// whole-volume tokens). `uniq` is not part of the key: every
+    /// incarnation of a vnode shares one grant list.
     grants: HashMap<VolumeId, HashMap<u32, Vec<Grant>>>,
     /// Per-file serialization counters (§6.2).
     stamps: HashMap<Fid, SerializationStamp>,
 }
 
-type ShardGuard<'a> = OrderedShardGuard<'a, TokenShard, { rank::TOKEN_SHARD }>;
+impl TokenTable {
+    /// Records a grant under the fid it was issued for.
+    fn push(&mut self, host: HostId, token: Token) {
+        self.grants
+            .entry(token.fid.volume)
+            .or_default()
+            .entry(token.fid.vnode.0)
+            .or_default()
+            .push(Grant { host, token });
+    }
+
+    /// Records a grant and issues its stamp.
+    fn insert(&mut self, host: HostId, token: Token) -> SerializationStamp {
+        let fid = token.fid;
+        self.push(host, token);
+        let s = self.stamps.entry(fid).or_default();
+        *s = s.next();
+        *s
+    }
+}
 
 /// Snapshot of a volume's token state for a live move: every grant
 /// with its holding host, plus the per-file serialization counters.
@@ -184,16 +161,12 @@ pub type VolumeExport = (Vec<(HostId, Token)>, Vec<(Fid, SerializationStamp)>);
 
 /// The token manager of one file server.
 ///
-/// Grant/stamp state is fid-hash sharded at rank [`rank::TOKEN_SHARD`]
-/// (see the module docs for the topology and cross-shard acquisition
-/// order); the host registry sits at rank [`rank::TOKEN_MANAGER`].
 /// Revocation callbacks run with every manager lock released (§5.1),
 /// which the rank enforcer verifies in debug builds.
 pub struct TokenManager {
-    shards: OrderedShardedMutex<TokenShard, { rank::TOKEN_SHARD }>,
+    table: OrderedMutex<TokenTable, { rank::TOKEN_MANAGER }>,
     hosts: OrderedMutex<HashMap<HostId, Arc<dyn TokenHost>>, { rank::TOKEN_MANAGER }>,
-    /// Token id allocator; atomic so grants on different shards never
-    /// serialize on id allocation.
+    /// Token id allocator.
     next_id: AtomicU64,
     stats: OrderedMutex<TokenStats, { rank::STATS }>,
 }
@@ -205,58 +178,18 @@ impl Default for TokenManager {
 }
 
 impl TokenManager {
-    /// Creates an empty token manager with the environment-selected
-    /// shard count ([`shards_from_env`]).
+    /// Creates an empty token manager.
     pub fn new() -> TokenManager {
-        Self::with_shards(shards_from_env())
-    }
-
-    /// Creates an empty token manager with exactly `n` shards
-    /// (`n = 1` reproduces the old single-lock behavior).
-    pub fn with_shards(n: usize) -> TokenManager {
         TokenManager {
-            shards: OrderedShardedMutex::new(n, TokenShard::default),
+            table: OrderedMutex::new(TokenTable::default()),
             hosts: OrderedMutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             stats: OrderedMutex::new(TokenStats::default()),
         }
     }
 
-    /// Number of fid-hash shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
-    }
-
-    /// The shard holding `fid`'s grants and stamps.
-    pub fn shard_of(&self, fid: Fid) -> usize {
-        shard_index(fid.volume, fid.vnode.0, self.shards.shard_count())
-    }
-
     fn fresh_id(&self) -> TokenId {
         TokenId(self.next_id.fetch_add(1, Ordering::SeqCst))
-    }
-
-    /// Locks every shard the conflict check for a token on `fid` must
-    /// consult, in ascending index order (the cross-shard discipline
-    /// the rank enforcer verifies). File tokens touch at most two
-    /// shards — the file's own and the one holding the volume's
-    /// whole-volume (vnode-0) grants; volume tokens conflict with every
-    /// file of the volume, so they take all shards. Returns the guards
-    /// plus the position among them of `fid`'s own shard.
-    fn lock_covering(&self, fid: Fid, volume_token: bool) -> (Vec<ShardGuard<'_>>, usize) {
-        if volume_token || self.shards.shard_count() == 1 {
-            return (self.shards.lock_all(), self.shard_of(fid));
-        }
-        let s_file = self.shard_of(fid);
-        let s_vol = shard_index(fid.volume, 0, self.shards.shard_count());
-        if s_file == s_vol {
-            (vec![self.shards.lock(s_file)], 0)
-        } else {
-            let lo = s_file.min(s_vol);
-            let hi = s_file.max(s_vol);
-            let guards = vec![self.shards.lock(lo), self.shards.lock(hi)];
-            (guards, if s_file == lo { 0 } else { 1 })
-        }
     }
 
     /// Registers a host and its revoke procedure (§5.1).
@@ -267,12 +200,10 @@ impl TokenManager {
     /// Removes a host, dropping all its grants (client death/eviction).
     pub fn unregister_host(&self, host: HostId) {
         self.hosts.lock().remove(&host);
-        for i in 0..self.shards.shard_count() {
-            let mut shard = self.shards.lock(i);
-            for by_vnode in shard.grants.values_mut() {
-                for grants in by_vnode.values_mut() {
-                    grants.retain(|g| g.host != host);
-                }
+        let mut table = self.table.lock();
+        for by_vnode in table.grants.values_mut() {
+            for grants in by_vnode.values_mut() {
+                grants.retain(|g| g.host != host);
             }
         }
     }
@@ -283,16 +214,16 @@ impl TokenManager {
     /// is stamped, and stamps are strictly increasing in serialization
     /// order.
     pub fn stamp(&self, fid: Fid) -> SerializationStamp {
-        let mut shard = self.shards.lock(self.shard_of(fid));
-        let s = shard.stamps.entry(fid).or_default();
+        let mut table = self.table.lock();
+        let s = table.stamps.entry(fid).or_default();
         *s = s.next();
         *s
     }
 
     /// Returns the current (last-issued) stamp for `fid`.
     pub fn current_stamp(&self, fid: Fid) -> SerializationStamp {
-        self.shards
-            .lock(self.shard_of(fid))
+        self.table
+            .lock()
             .stamps
             .get(&fid)
             .copied()
@@ -318,27 +249,16 @@ impl TokenManager {
         let wanted = Token { id: TokenId(0), fid, types, range };
         let mut quiet = true;
         for _round in 0..64 {
-            // Conflict-check (and, when clean, grant) under the
-            // covering shard locks.
+            // Conflict-check (and, when clean, grant) under the table
+            // lock.
             let conflicts: Vec<(HostId, Token, TokenTypes)> = {
-                let (mut guards, fid_pos) = self.lock_covering(fid, wanted.is_volume_token());
-                let conflicts =
-                    Self::conflicting(guards.iter().map(|g| &**g), host, &wanted);
+                let mut table = self.table.lock();
+                let conflicts = Self::conflicting(&table, host, &wanted);
                 if conflicts.is_empty() {
-                    // Grant immediately while still holding the shard.
+                    // Grant immediately while still holding the table.
                     let token = Token { id: self.fresh_id(), fid, types, range };
-                    let shard = &mut *guards[fid_pos];
-                    shard
-                        .grants
-                        .entry(fid.volume)
-                        .or_default()
-                        .entry(fid.vnode.0)
-                        .or_default()
-                        .push(Grant { host, token: token.clone() });
-                    let s = shard.stamps.entry(fid).or_default();
-                    *s = s.next();
-                    let stamp = *s;
-                    drop(guards);
+                    let stamp = table.insert(host, token.clone());
+                    drop(table);
                     let mut stats = self.stats.lock();
                     stats.grants += 1;
                     if quiet {
@@ -396,8 +316,9 @@ impl TokenManager {
                 let result = results.get(i).copied().unwrap_or(RevokeResult::Returned);
                 match result {
                     RevokeResult::Returned => {
-                        let mut shard = self.shards.lock(self.shard_of(item.token.fid));
-                        Self::downgrade_in(&mut shard, h.host_id(), item.token.id, item.types);
+                        let mut table = self.table.lock();
+                        let (fid, id) = (item.token.fid, item.token.id);
+                        Self::downgrade(&mut table, h.host_id(), fid, id, item.types);
                     }
                     RevokeResult::Retained => {
                         {
@@ -442,134 +363,109 @@ impl TokenManager {
             return None;
         }
         let wanted = Token { id: TokenId(0), fid, types, range };
-        let (mut guards, fid_pos) = self.lock_covering(fid, wanted.is_volume_token());
-        if !Self::conflicting(guards.iter().map(|g| &**g), host, &wanted).is_empty() {
-            drop(guards);
+        let mut table = self.table.lock();
+        if !Self::conflicting(&table, host, &wanted).is_empty() {
+            drop(table);
             self.stats.lock().refused += 1;
             return None;
         }
         let token = Token { id: self.fresh_id(), fid, types, range };
-        let shard = &mut *guards[fid_pos];
-        shard
-            .grants
-            .entry(fid.volume)
-            .or_default()
-            .entry(fid.vnode.0)
-            .or_default()
-            .push(Grant { host, token: token.clone() });
-        let s = shard.stamps.entry(fid).or_default();
-        *s = s.next();
-        let stamp = *s;
-        drop(guards);
+        let stamp = table.insert(host, token.clone());
+        drop(table);
         let mut stats = self.stats.lock();
         stats.grants += 1;
         stats.reestablished += 1;
         Some((token, stamp))
     }
 
-    /// Scans the locked shard states for grants conflicting with
-    /// `wanted`. Each grant lives in exactly one shard, so iterating
-    /// the covering shards visits every candidate exactly once.
-    fn conflicting<'a>(
-        shards: impl Iterator<Item = &'a TokenShard>,
+    /// Scans `wanted`'s file and its volume's whole-volume grants (every
+    /// grant on the volume, for a volume token) for conflicts.
+    fn conflicting(
+        table: &TokenTable,
         host: HostId,
         wanted: &Token,
     ) -> Vec<(HostId, Token, TokenTypes)> {
         let mut out = Vec::new();
-        for state in shards {
-            if let Some(by_vnode) = state.grants.get(&wanted.fid.volume) {
-                let candidates: Box<dyn Iterator<Item = &Grant>> = if wanted.is_volume_token() {
-                    Box::new(by_vnode.values().flatten())
-                } else {
-                    let file = by_vnode.get(&wanted.fid.vnode.0).into_iter().flatten();
-                    let vol = by_vnode.get(&0).into_iter().flatten();
-                    Box::new(file.chain(vol))
-                };
-                for g in candidates {
-                    if g.host == host {
-                        continue;
-                    }
-                    let bits = types::conflict_bits(&g.token, wanted);
-                    if !bits.is_empty() {
-                        out.push((g.host, g.token.clone(), bits));
-                    }
-                }
+        let Some(by_vnode) = table.grants.get(&wanted.fid.volume) else { return out };
+        let candidates: Box<dyn Iterator<Item = &Grant>> = if wanted.is_volume_token() {
+            Box::new(by_vnode.values().flatten())
+        } else {
+            let file = by_vnode.get(&wanted.fid.vnode.0).into_iter().flatten();
+            let vol = by_vnode.get(&0).into_iter().flatten();
+            Box::new(file.chain(vol))
+        };
+        for g in candidates {
+            if g.host == host {
+                continue;
+            }
+            let bits = types::conflict_bits(&g.token, wanted);
+            if !bits.is_empty() {
+                out.push((g.host, g.token.clone(), bits));
             }
         }
         out
     }
 
-    /// Strips `bits` from a grant within one shard; removes it entirely
-    /// when no bits remain.
-    fn downgrade_in(shard: &mut TokenShard, host: HostId, id: TokenId, bits: TokenTypes) {
-        for by_vnode in shard.grants.values_mut() {
-            for grants in by_vnode.values_mut() {
-                for g in grants.iter_mut() {
-                    if g.host == host && g.token.id == id {
-                        g.token.types = g.token.types.minus(bits);
-                    }
-                }
-                grants.retain(|g| !(g.host == host && g.token.id == id && g.token.types.is_empty()));
+    /// Strips `bits` from `host`'s grant `id` on `fid`; removes the grant
+    /// entirely when no bits remain. Only that file's grants are
+    /// consulted: a grant lives under the fid it was issued for.
+    fn downgrade(table: &mut TokenTable, host: HostId, fid: Fid, id: TokenId, bits: TokenTypes) {
+        let Some(grants) =
+            table.grants.get_mut(&fid.volume).and_then(|m| m.get_mut(&fid.vnode.0))
+        else {
+            return;
+        };
+        for g in grants.iter_mut() {
+            if g.host == host && g.token.id == id {
+                g.token.types = g.token.types.minus(bits);
             }
         }
+        grants.retain(|g| !(g.host == host && g.token.id == id && g.token.types.is_empty()));
     }
 
     /// Returns a token voluntarily (client cache eviction, op done).
-    /// The caller identifies the token by id alone, so the shards are
-    /// scanned one at a time until every trace is gone.
-    pub fn release(&self, host: HostId, id: TokenId) {
-        for i in 0..self.shards.shard_count() {
-            let mut shard = self.shards.lock(i);
-            Self::downgrade_in(&mut shard, host, id, TokenTypes(u32::MAX));
-        }
+    /// `fid` is the file the token was granted on.
+    pub fn release(&self, host: HostId, fid: Fid, id: TokenId) {
+        Self::downgrade(&mut self.table.lock(), host, fid, id, TokenTypes(u32::MAX));
         self.stats.lock().releases += 1;
     }
 
     /// Returns all of `host`'s tokens on `fid`.
     pub fn release_fid(&self, host: HostId, fid: Fid) {
-        let mut shard = self.shards.lock(self.shard_of(fid));
+        let mut table = self.table.lock();
         let mut removed = 0u64;
-        if let Some(by_vnode) = shard.grants.get_mut(&fid.volume) {
+        if let Some(by_vnode) = table.grants.get_mut(&fid.volume) {
             if let Some(grants) = by_vnode.get_mut(&fid.vnode.0) {
                 let before = grants.len();
                 grants.retain(|g| g.host != host);
                 removed = (before - grants.len()) as u64;
             }
         }
-        drop(shard);
+        drop(table);
         self.stats.lock().releases += removed;
     }
 
     /// Snapshots every live grant on `volume` plus the per-file
-    /// serialization counters, for shipping to a volume-move target.
-    /// Takes every shard (ascending) so the export is one consistent
-    /// cut of the volume's coherence state.
+    /// serialization counters, for shipping to a volume-move target:
+    /// one consistent cut of the volume's coherence state.
     ///
     /// The grants keep their token ids: a live move (§2.1) must leave
     /// the clients' cached tokens valid, and a client matches
     /// revocations by token id, so the target has to keep serving the
     /// exact ids the source issued.
     pub fn export_volume(&self, volume: VolumeId) -> VolumeExport {
-        let guards = self.shards.lock_all();
-        let mut grants: Vec<(HostId, Token)> = Vec::new();
-        let mut stamps: Vec<(Fid, SerializationStamp)> = Vec::new();
-        for shard in &guards {
-            if let Some(by_vnode) = shard.grants.get(&volume) {
-                grants.extend(
-                    by_vnode
-                        .values()
-                        .flatten()
-                        .map(|g| (g.host, g.token.clone())),
-                );
-            }
-            stamps.extend(
-                shard
-                    .stamps
-                    .iter()
-                    .filter(|(f, _)| f.volume == volume)
-                    .map(|(f, s)| (*f, *s)),
-            );
-        }
+        let table = self.table.lock();
+        let grants = table
+            .grants
+            .get(&volume)
+            .map(|by_vnode| by_vnode.values().flatten().map(|g| (g.host, g.token.clone())).collect())
+            .unwrap_or_default();
+        let stamps = table
+            .stamps
+            .iter()
+            .filter(|(f, _)| f.volume == volume)
+            .map(|(f, s)| (*f, *s))
+            .collect();
         (grants, stamps)
     }
 
@@ -578,15 +474,7 @@ impl TokenManager {
     /// future grants can never collide with a shipped token.
     pub fn install_grant(&self, host: HostId, token: Token) {
         self.next_id.fetch_max(token.id.0 + 1, Ordering::SeqCst);
-        let mut shard = self.shards.lock(self.shard_of(token.fid));
-        shard
-            .grants
-            .entry(token.fid.volume)
-            .or_default()
-            .entry(token.fid.vnode.0)
-            .or_default()
-            .push(Grant { host, token });
-        drop(shard);
+        self.table.lock().push(host, token);
         let mut stats = self.stats.lock();
         stats.grants += 1;
         stats.imported += 1;
@@ -597,8 +485,8 @@ impl TokenManager {
     /// (§6.2: clients merge status by stamp and would discard updates
     /// stamped below what they have already seen).
     pub fn raise_stamp_floor(&self, fid: Fid, floor: SerializationStamp) {
-        let mut shard = self.shards.lock(self.shard_of(fid));
-        let s = shard.stamps.entry(fid).or_default();
+        let mut table = self.table.lock();
+        let s = table.stamps.entry(fid).or_default();
         if floor > *s {
             *s = floor;
         }
@@ -608,17 +496,15 @@ impl TokenManager {
     /// of a completed move: the volume is gone, the target now owns the
     /// coherence state).
     pub fn drop_volume(&self, volume: VolumeId) {
-        for i in 0..self.shards.shard_count() {
-            let mut shard = self.shards.lock(i);
-            shard.grants.remove(&volume);
-            shard.stamps.retain(|f, _| f.volume != volume);
-        }
+        let mut table = self.table.lock();
+        table.grants.remove(&volume);
+        table.stamps.retain(|f, _| f.volume != volume);
     }
 
     /// Lists the tokens currently granted on `fid` (diagnostics).
     pub fn tokens_on(&self, fid: Fid) -> Vec<(HostId, Token)> {
-        let shard = self.shards.lock(self.shard_of(fid));
-        shard
+        self.table
+            .lock()
             .grants
             .get(&fid.volume)
             .and_then(|m| m.get(&fid.vnode.0))
@@ -633,17 +519,11 @@ impl TokenManager {
     /// volumes) would pin the window until lease expiry.
     pub fn token_holders(&self) -> Vec<ClientId> {
         let mut out: Vec<ClientId> = Vec::new();
-        for i in 0..self.shards.shard_count() {
-            let shard = self.shards.lock(i);
-            for by_vnode in shard.grants.values() {
-                for grants in by_vnode.values() {
-                    for g in grants {
-                        if let HostId::Client(c) = g.host {
-                            if !out.contains(&c) {
-                                out.push(c);
-                            }
-                        }
-                    }
+        let table = self.table.lock();
+        for g in table.grants.values().flat_map(|by_vnode| by_vnode.values().flatten()) {
+            if let HostId::Client(c) = g.host {
+                if !out.contains(&c) {
+                    out.push(c);
                 }
             }
         }
@@ -847,7 +727,7 @@ mod tests {
         tm.register_host(h1.clone());
         tm.register_host(h2.clone());
         let (t, _) = tm.grant(h1.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
-        tm.release(h1.id, t.id);
+        tm.release(h1.id, fid(1), t.id);
         tm.grant(h2.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
         assert_eq!(h1.calls.load(Ordering::SeqCst), 0, "released token needs no revoke");
     }
@@ -993,7 +873,7 @@ mod tests {
 
     #[test]
     fn one_conflict_check_batches_same_host_revocations() {
-        let tm = TokenManager::with_shards(4);
+        let tm = TokenManager::new();
         let holder = BatchHost::new(1);
         let wanter = RecordingHost::new(2, false);
         tm.register_host(holder.clone());
@@ -1012,7 +892,7 @@ mod tests {
 
     #[test]
     fn batched_revoke_acks_every_token_once_with_mixed_results() {
-        let tm = TokenManager::with_shards(4);
+        let tm = TokenManager::new();
         let holder = BatchHost::new(1);
         let wanter = RecordingHost::new(2, false);
         tm.register_host(holder.clone());
@@ -1045,7 +925,7 @@ mod tests {
 
     #[test]
     fn batch_items_carry_fresh_per_file_stamps() {
-        let tm = TokenManager::with_shards(4);
+        let tm = TokenManager::new();
         let holder = RecordingHost::new(1, false);
         let wanter = RecordingHost::new(2, false);
         tm.register_host(holder.clone());
@@ -1059,7 +939,7 @@ mod tests {
 
     #[test]
     fn short_batch_answer_counts_as_returned() {
-        let tm = TokenManager::with_shards(2);
+        let tm = TokenManager::new();
         let holder = BatchHost::new(1);
         let wanter = RecordingHost::new(2, false);
         tm.register_host(holder.clone());
@@ -1076,50 +956,41 @@ mod tests {
     }
 
     #[test]
-    fn whole_volume_grant_spans_all_shards() {
-        let tm = TokenManager::with_shards(4);
+    fn whole_volume_grant_revokes_every_file_grant() {
+        let tm = TokenManager::new();
         let readers: Vec<_> = (1..=8).map(|i| RecordingHost::new(i, false)).collect();
         let repl = RecordingHost::new(99, false);
         for h in &readers {
             tm.register_host(h.clone());
         }
         tm.register_host(repl.clone());
-        // Writers on 8 distinct vnodes land in several shards.
-        let mut shards_hit = std::collections::HashSet::new();
         for (i, h) in readers.iter().enumerate() {
-            let f = fid(i as u32 + 1);
-            shards_hit.insert(tm.shard_of(f));
-            tm.grant(h.id, f, TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
+            tm.grant(h.id, fid(i as u32 + 1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
         }
-        assert!(shards_hit.len() > 1, "test needs fids spread over shards");
         // A whole-volume read token must see and revoke every one.
         let vol_fid = Fid::new(VolumeId(1), VnodeId(0), 0);
         tm.grant(repl.id, vol_fid, TokenTypes::DATA_READ, ByteRange::WHOLE).unwrap();
         let revoked: usize = readers.iter().map(|h| h.calls.load(Ordering::SeqCst)).sum();
-        assert_eq!(revoked, 8, "every shard's conflicting grant revoked");
+        assert_eq!(revoked, 8, "every file's conflicting grant revoked");
         assert_eq!(tm.tokens_on(vol_fid).len(), 1);
     }
 
     #[test]
-    fn shard_count_one_matches_old_single_lock_layout() {
-        let tm = TokenManager::with_shards(1);
-        assert_eq!(tm.shard_count(), 1);
+    fn release_names_the_tokens_file() {
+        let tm = TokenManager::new();
         let h1 = RecordingHost::new(1, false);
-        let h2 = RecordingHost::new(2, false);
         tm.register_host(h1.clone());
-        tm.register_host(h2.clone());
-        for i in 0..16 {
-            assert_eq!(tm.shard_of(fid(i)), 0, "everything in the single shard");
-        }
-        tm.grant(h1.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
-        tm.grant(h2.id, fid(1), TokenTypes::DATA_READ, ByteRange::WHOLE).unwrap();
-        assert_eq!(h1.calls.load(Ordering::SeqCst), 1);
-        assert_eq!(tm.stats().revocations, 1);
+        let (t, _) = tm.grant(h1.id, fid(1), TokenTypes::DATA_WRITE, ByteRange::WHOLE).unwrap();
+        // The grant lives under fid(1): naming another file finds nothing.
+        tm.release(h1.id, fid(2), t.id);
+        assert_eq!(tm.tokens_on(fid(1)).len(), 1);
+        tm.release(h1.id, fid(1), t.id);
+        assert!(tm.tokens_on(fid(1)).is_empty());
     }
 
     #[test]
-    fn cross_shard_concurrent_grants_do_not_deadlock() {
-        let tm = Arc::new(TokenManager::with_shards(4));
+    fn mixed_volume_and_file_grants_do_not_deadlock() {
+        let tm = Arc::new(TokenManager::new());
         let hosts: Vec<_> = (0..4).map(|i| RecordingHost::new(i, false)).collect();
         for h in &hosts {
             tm.register_host(h.clone());
@@ -1133,9 +1004,8 @@ mod tests {
                 let id = h.id;
                 std::thread::spawn(move || {
                     for i in 0..50u32 {
-                        // Mix file grants (1–2 shards) with volume
-                        // grants (all shards) to exercise the ascending
-                        // acquisition order under contention.
+                        // Mix file grants with whole-volume grants,
+                        // which conflict with every file of the volume.
                         if n == 0 && i % 10 == 0 {
                             let _ = tm.grant(id, vol_fid, TokenTypes::DATA_READ, ByteRange::WHOLE);
                         } else {

@@ -1,15 +1,8 @@
-//! Property-based tests for the token compatibility relation (§5.2) and
-//! for shard-count transparency: sharding the manager's state by fid
-//! hash is a pure performance change, so any operation script must
-//! produce identical observable results at 1 shard and at N.
+//! Property-based tests for the token compatibility relation (§5.2).
 
-use dfs_token::{
-    compatible, conflict_bits, RevokeResult, Token, TokenHost, TokenId, TokenManager, TokenTypes,
-};
-use dfs_types::{ByteRange, ClientId, Fid, HostId, SerializationStamp, VnodeId, VolumeId};
+use dfs_token::{compatible, conflict_bits, Token, TokenId, TokenTypes};
+use dfs_types::{ByteRange, Fid, VnodeId, VolumeId};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 fn types_strategy() -> impl Strategy<Value = TokenTypes> {
     (0u32..(1 << 11)).prop_map(TokenTypes)
@@ -134,121 +127,6 @@ proptest! {
             prop_assert!(
                 !compatible(&vol_tok, &t),
                 "volume token must conflict at least as much as a file token"
-            );
-        }
-    }
-}
-
-/// Host that answers Retained for lock-write tokens (modelling a client
-/// with live file locks, §5.3) and Returned for everything else, so a
-/// script exercises both grant-success and grant-failure paths.
-struct ScriptHost {
-    id: HostId,
-    revoked: AtomicUsize,
-}
-
-impl ScriptHost {
-    fn new(n: u32) -> Arc<ScriptHost> {
-        Arc::new(ScriptHost { id: HostId::Client(ClientId(n)), revoked: AtomicUsize::new(0) })
-    }
-}
-
-impl TokenHost for ScriptHost {
-    fn host_id(&self) -> HostId {
-        self.id
-    }
-
-    fn revoke(
-        &self,
-        token: &Token,
-        _types: TokenTypes,
-        _stamp: SerializationStamp,
-    ) -> RevokeResult {
-        self.revoked.fetch_add(1, Ordering::SeqCst);
-        if token.types.contains(TokenTypes::LOCK_WRITE) {
-            RevokeResult::Retained
-        } else {
-            RevokeResult::Returned
-        }
-    }
-}
-
-/// One scripted op: `(host, vnode, kind, range)`. kind 0..4 grants one
-/// of four type mixes; kind 4 releases the host's grants on the fid.
-type Op = (u32, u32, usize, usize);
-
-const OP_TYPES: [TokenTypes; 4] = [
-    TokenTypes(TokenTypes::DATA_READ.0 | TokenTypes::STATUS_READ.0),
-    TokenTypes(TokenTypes::DATA_WRITE.0 | TokenTypes::STATUS_WRITE.0),
-    TokenTypes(TokenTypes::LOCK_WRITE.0),
-    TokenTypes(TokenTypes::DATA_READ.0),
-];
-
-fn script_fid(vnode: u32) -> Fid {
-    Fid::new(VolumeId(1), VnodeId(vnode), if vnode == 0 { 0 } else { 1 })
-}
-
-/// Runs `ops` against a manager with `shards` shards and returns every
-/// observable: per-op grant outcomes, per-host revocation counts, and
-/// the final (host, types, range) token set per fid.
-fn run_script(shards: usize, ops: &[Op]) -> (Vec<bool>, Vec<usize>, Vec<Vec<(HostId, u32, ByteRange)>>) {
-    let tm = TokenManager::with_shards(shards);
-    let hosts: Vec<Arc<ScriptHost>> = (0..3).map(ScriptHost::new).collect();
-    for h in &hosts {
-        tm.register_host(h.clone());
-    }
-    let ranges = [ByteRange::WHOLE, ByteRange::new(0, 4096), ByteRange::new(4096, 8192)];
-    let mut outcomes = Vec::with_capacity(ops.len());
-    for &(host, vnode, kind, range) in ops {
-        let id = hosts[host as usize % hosts.len()].id;
-        let fid = script_fid(vnode % 6);
-        if kind % 5 == 4 {
-            tm.release_fid(id, fid);
-            outcomes.push(true);
-        } else {
-            let granted =
-                tm.grant(id, fid, OP_TYPES[kind % 4], ranges[range % ranges.len()]).is_ok();
-            outcomes.push(granted);
-        }
-    }
-    let revoked = hosts.iter().map(|h| h.revoked.load(Ordering::SeqCst)).collect();
-    let state = (0..6)
-        .map(|v| {
-            let mut on: Vec<_> = tm
-                .tokens_on(script_fid(v))
-                .into_iter()
-                .map(|(h, t)| (h, t.types.0, t.range))
-                .collect();
-            on.sort_by_key(|(h, ty, r)| (format!("{h:?}"), *ty, r.start, r.end));
-            on
-        })
-        .collect();
-    (outcomes, revoked, state)
-}
-
-proptest! {
-    #[test]
-    fn sharding_is_observationally_transparent(
-        ops in proptest::collection::vec((0u32..3, 0u32..6, 0usize..5, 0usize..3), 1..40),
-        shards in 2usize..9,
-    ) {
-        // Volume tokens (vnode 0), colliding fids, retained locks,
-        // releases — whatever the script does, shard count must not
-        // change a grant outcome or the final token state.
-        let (flat_out, flat_rev, flat_state) = run_script(1, &ops);
-        let (shard_out, shard_rev, shard_state) = run_script(shards, &ops);
-        prop_assert_eq!(flat_out, shard_out);
-        prop_assert_eq!(flat_state, shard_state);
-        // Per-host revocation-callback counts are only pinned when no
-        // host can retain: a Retained answer aborts the remaining
-        // revocations (§5.3), and *which* victims were already revoked
-        // before the abort follows conflict-scan order, which sharding
-        // legitimately permutes.
-        if ops.iter().all(|&(_, _, kind, _)| kind % 5 != 2) {
-            prop_assert_eq!(
-                flat_rev,
-                shard_rev,
-                "without retained locks every conflict is revoked exactly once"
             );
         }
     }

@@ -11,7 +11,7 @@ use dfs_token::{RevokeResult, Token, TokenHost, TokenManager, TokenTypes};
 use dfs_types::lock::held_ranks;
 use dfs_types::{ByteRange, ClientId, Fid, HostId, SerializationStamp, VnodeId, VolumeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 struct StressHost {
     id: HostId,
@@ -91,7 +91,7 @@ fn concurrent_grant_revoke_respects_lock_hierarchy() {
                     };
                     if let Ok((token, _stamp)) = result {
                         if i % 5 == 0 {
-                            tm.release(id, token.id);
+                            tm.release(id, token.fid, token.id);
                         }
                     }
                 }
@@ -157,31 +157,31 @@ fn host_churn_under_load_does_not_deadlock() {
     }
 }
 
-/// A whole-volume (vnode-0) write token conflicts with file tokens in
-/// every shard, so granting it drives the cross-shard lock_all path and
-/// batched per-host revocations while readers keep re-granting. The
-/// manager honors `DFS_TOKEN_SHARDS`, so verify.sh runs this at shard
-/// counts 1 and 4.
+/// A whole-volume (vnode-0) write token conflicts with every file token
+/// of the volume, so granting it drives batched per-host revocations
+/// across many files while readers keep re-granting.
 #[test]
-fn whole_volume_revocation_spans_shards_under_load() {
+fn whole_volume_revocation_under_load() {
     let tm = Arc::new(TokenManager::new());
     let hosts: Vec<Arc<StressHost>> = (0..4).map(StressHost::new).collect();
     for h in &hosts {
         tm.register_host(h.clone());
     }
-    if tm.shard_count() > 1 {
-        let shards_hit: std::collections::BTreeSet<usize> =
-            (1..64).map(|v| tm.shard_of(fid(v))).collect();
-        assert!(shards_hit.len() >= 3, "file fids must spread across shards");
-    }
+    // The writer starts only once every reader holds a grant, so its
+    // first volume grant has something to revoke.
+    let start = Arc::new(Barrier::new(hosts.len()));
 
     let readers: Vec<_> = hosts[1..]
         .iter()
         .map(|h| {
             let tm = tm.clone();
+            let start = start.clone();
             let id = h.id;
             std::thread::spawn(move || {
                 for i in 0..150u32 {
+                    if i == 1 {
+                        start.wait();
+                    }
                     let _ = tm.grant(
                         id,
                         fid(1 + i % 48),
@@ -196,6 +196,7 @@ fn whole_volume_revocation_spans_shards_under_load() {
         let tm = tm.clone();
         let id = hosts[0].id;
         std::thread::spawn(move || {
+            start.wait();
             let vol = Fid::new(VolumeId(1), VnodeId(0), 0);
             for _ in 0..40 {
                 if let Ok((t, _)) = tm.grant(
@@ -204,7 +205,7 @@ fn whole_volume_revocation_spans_shards_under_load() {
                     TokenTypes::DATA_WRITE | TokenTypes::STATUS_WRITE,
                     ByteRange::WHOLE,
                 ) {
-                    tm.release(id, t.id);
+                    tm.release(id, t.fid, t.id);
                 }
             }
         })
@@ -212,7 +213,7 @@ fn whole_volume_revocation_spans_shards_under_load() {
     for t in readers {
         t.join().expect("reader threads must survive the volume-token storms");
     }
-    writer.join().expect("volume-token writer must not deadlock across shards");
+    writer.join().expect("volume-token writer must not deadlock");
 
     for h in &hosts {
         assert!(
@@ -224,7 +225,7 @@ fn whole_volume_revocation_spans_shards_under_load() {
     assert!(total > 0, "whole-volume writes must have revoked file readers");
 
     // Quiesced: one more volume write grant must strip every
-    // conflicting read bit from the other hosts, in every shard.
+    // conflicting read bit from the other hosts, on every file.
     let vol = Fid::new(VolumeId(1), VnodeId(0), 0);
     tm.grant(
         hosts[0].id,
@@ -238,34 +239,22 @@ fn whole_volume_revocation_spans_shards_under_load() {
         for (h, t) in tm.tokens_on(fid(v)) {
             assert!(
                 h == hosts[0].id || !t.types.intersects(readers_mask),
-                "shard {} kept a stale read grant for {h:?}: {t:?}",
-                tm.shard_of(fid(v))
+                "fid({v}) kept a stale read grant for {h:?}: {t:?}"
             );
         }
     }
 }
 
-/// Exactly-once revocation whether the conflicting fids collide into
-/// one shard or spread across several: each held token is revoked once,
-/// and the per-fid state ends identical either way.
+/// Exactly-once revocation across several files: each held token is
+/// revoked once, and only the writer's token remains on each fid.
 #[test]
-fn colliding_and_distinct_fids_revoke_exactly_once() {
-    let tm = TokenManager::with_shards(4);
+fn three_fids_revoke_exactly_once() {
+    let tm = TokenManager::new();
     let holder = StressHost::new(1);
     let writer = StressHost::new(2);
     tm.register_host(holder.clone());
     tm.register_host(writer.clone());
-
-    // One pair of fids that hash to the same shard, plus one that
-    // lands elsewhere.
-    let s0 = tm.shard_of(fid(1));
-    let colliding = (2..200)
-        .find(|&v| tm.shard_of(fid(v)) == s0)
-        .expect("some fid must collide with shard of fid(1)");
-    let distinct = (2..200)
-        .find(|&v| tm.shard_of(fid(v)) != s0)
-        .expect("some fid must land on another shard");
-    let files = [1, colliding, distinct];
+    let files = [1, 2, 3];
 
     for v in files {
         tm.grant(holder.id, fid(v), TokenTypes::DATA_READ, ByteRange::WHOLE).unwrap();
@@ -277,7 +266,7 @@ fn colliding_and_distinct_fids_revoke_exactly_once() {
     assert_eq!(
         holder.revocations.load(Ordering::SeqCst),
         files.len(),
-        "each read token must be revoked exactly once, colliding or not"
+        "each read token must be revoked exactly once"
     );
     assert_eq!(tm.stats().revocations, files.len() as u64);
     for v in files {

@@ -12,7 +12,6 @@ pub mod error;
 pub mod id;
 pub mod lock;
 pub mod range;
-pub mod snapshot;
 pub mod status;
 
 pub use acl::{Acl, AclEntry, Principal, Rights};
@@ -21,8 +20,7 @@ pub use error::{DfsError, DfsResult};
 pub use id::{AggregateId, CellId, ClientId, Fid, HostId, ServerId, VnodeId, VolumeId};
 pub use lock::{
     held_ranks, rank, LockRank, OrderedCondvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock,
-    OrderedRwLockReadGuard, OrderedRwLockWriteGuard, OrderedShardGuard, OrderedShardedMutex,
+    OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
 };
 pub use range::ByteRange;
-pub use snapshot::SnapshotCell;
 pub use status::{FileStatus, FileType, SerializationStamp};

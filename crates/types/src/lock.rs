@@ -28,12 +28,9 @@
 //! | `VOLUME_REGISTRY`      | 100   | server volume tables, VLDB replica map (§3.4) |
 //! | `SERVER_ROUTES`        | 105   | per-server route hints for moved-away volumes (§2.1) |
 //! | `SERVER_HOSTS`         | 110   | server's known-client set |
-//! | `TOKEN_MANAGER`        | 120   | the token manager's host registry (§5; the grant table itself is sharded at `TOKEN_SHARD`) |
-//! | `TOKEN_SHARD`          | 122   | one fid-hash shard of the token manager's grant/stamp tables (§5); same-rank nesting allowed only in ascending shard-index order |
+//! | `TOKEN_MANAGER`        | 120   | the token manager's host registry and grant/stamp table (§5) |
 //! | `HOST_TABLE`           | 130   | host model records, local-host activity (§3.2) |
-//! | `HOST_SHARD`           | 132   | one client-hash shard of the host model's records; same index rule as `TOKEN_SHARD` |
-//! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6; the held-lock map itself is sharded at `LOCK_SHARD`) |
-//! | `LOCK_SHARD`           | 142   | one fid-hash shard of the server lock table; same index rule as `TOKEN_SHARD` |
+//! | `LOCK_TABLE`           | 140   | server byte-range lock table (§3.6) |
 //! | `JOURNAL_TXNS`         | 150   | journal transaction table (§2.2) |
 //! | `JOURNAL_CACHE`        | 160   | journal buffer-cache map |
 //! | `JOURNAL_FRAME`        | 170   | individual buffer-frame latches |
@@ -98,32 +95,13 @@ pub mod rank {
     pub const SERVER_ROUTES: u16 = 105;
     /// Server's known-client set.
     pub const SERVER_HOSTS: u16 = 110;
-    /// The token manager's host registry (§5). Since the grant tables
-    /// were sharded (`TOKEN_SHARD`), this rank guards only the
-    /// host-id → callback-interface map; it sits just below the shards
-    /// so resolving a host while planning a cross-shard operation is
-    /// legal in either order (the registry guard is never actually held
-    /// across a shard acquisition today).
+    /// The token manager (§5): its host registry and its grant/stamp
+    /// table, two mutexes of this rank that never nest.
     pub const TOKEN_MANAGER: u16 = 120;
-    /// One fid-hash shard of the token manager's grant/stamp tables
-    /// (§5). Same-rank nesting is allowed **only in strictly ascending
-    /// shard-index order** — cross-shard operations (whole-volume
-    /// revocation, volume export) walk the shards 0..N.
-    pub const TOKEN_SHARD: u16 = 122;
     /// Host model records and local-host activity tracking (§3.2).
     pub const HOST_TABLE: u16 = 130;
-    /// One client-hash shard of the host model's records. Same
-    /// ascending-index rule as `TOKEN_SHARD`.
-    pub const HOST_SHARD: u16 = 132;
-    /// Server byte-range lock table (§3.6). Since the held-lock map
-    /// was sharded (`LOCK_SHARD`), this rank survives only for tests
-    /// and fixtures pinning the hierarchy's shape.
+    /// Server byte-range lock table (§3.6).
     pub const LOCK_TABLE: u16 = 140;
-    /// One fid-hash shard of the server lock table (§3.6). Same-rank
-    /// nesting is allowed **only in strictly ascending shard-index
-    /// order**, as for `TOKEN_SHARD`; `release_owner` walks the shards
-    /// one at a time and never nests them.
-    pub const LOCK_SHARD: u16 = 142;
     /// Journal transaction table (§2.2).
     pub const JOURNAL_TXNS: u16 = 150;
     /// Journal buffer-cache map.
@@ -153,11 +131,8 @@ pub mod rank {
             SERVER_ROUTES => "SERVER_ROUTES",
             SERVER_HOSTS => "SERVER_HOSTS",
             TOKEN_MANAGER => "TOKEN_MANAGER",
-            TOKEN_SHARD => "TOKEN_SHARD",
             HOST_TABLE => "HOST_TABLE",
-            HOST_SHARD => "HOST_SHARD",
             LOCK_TABLE => "LOCK_TABLE",
-            LOCK_SHARD => "LOCK_SHARD",
             JOURNAL_TXNS => "JOURNAL_TXNS",
             JOURNAL_CACHE => "JOURNAL_CACHE",
             JOURNAL_FRAME => "JOURNAL_FRAME",
@@ -177,56 +152,30 @@ mod enforce {
     use std::cell::RefCell;
 
     thread_local! {
-        /// `(rank, shard index)` of every held lock, innermost last.
-        /// Plain (unsharded) locks record `None` for the index.
-        static HELD: RefCell<Vec<(u16, Option<u32>)>> = const { RefCell::new(Vec::new()) };
+        /// Ranks of every held lock, innermost last.
+        static HELD: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Records acquisition of `rank` (a plain, unsharded lock),
-    /// panicking on a hierarchy violation.
+    /// Records acquisition of `rank`, panicking on a hierarchy violation.
     pub fn acquire(rank: u16) {
-        acquire_at(rank, None);
-    }
-
-    /// Records acquisition of shard `index` of a sharded lock at
-    /// `rank`. Same-rank nesting is legal only when both locks are
-    /// shards and the indices strictly ascend.
-    pub fn acquire_indexed(rank: u16, index: u32) {
-        acquire_at(rank, Some(index));
-    }
-
-    fn acquire_at(rank: u16, index: Option<u32>) {
         HELD.with(|h| {
             let mut held = h.borrow_mut();
-            if let Some(&(top, top_idx)) = held.last() {
-                if rank == top {
-                    match (top_idx, index) {
-                        (Some(a), Some(b)) => assert!(
-                            b > a,
-                            "lock hierarchy violation: acquiring shard {b} of rank \
-                             {rank} ({}) while holding shard {a} of the same rank — \
-                             same rank — shards must be acquired in ascending index \
-                             order and same-rank locks must never nest otherwise",
-                            super::rank::name(rank),
-                        ),
-                        _ => panic!(
-                            "lock hierarchy violation: acquiring rank {rank} ({}) while \
-                             already holding the same rank — same-rank locks must never \
-                             nest",
-                            super::rank::name(rank),
-                        ),
-                    }
-                } else {
-                    assert!(
-                        rank > top,
-                        "lock hierarchy violation: acquiring rank {rank} ({}) while holding \
-                         rank {top} ({}); held stack: {held:?}",
-                        super::rank::name(rank),
-                        super::rank::name(top),
-                    );
-                }
+            if let Some(&top) = held.last() {
+                assert!(
+                    rank != top,
+                    "lock hierarchy violation: acquiring rank {rank} ({}) while already \
+                     holding the same rank — same-rank locks must never nest",
+                    super::rank::name(rank),
+                );
+                assert!(
+                    rank > top,
+                    "lock hierarchy violation: acquiring rank {rank} ({}) while holding \
+                     rank {top} ({}); held stack: {held:?}",
+                    super::rank::name(rank),
+                    super::rank::name(top),
+                );
             }
-            held.push((rank, index));
+            held.push(rank);
         });
     }
 
@@ -236,14 +185,14 @@ mod enforce {
             let mut held = h.borrow_mut();
             let pos = held
                 .iter()
-                .rposition(|&(r, _)| r == rank)
+                .rposition(|&r| r == rank)
                 .expect("released a rank that was never recorded as held");
             held.remove(pos);
         });
     }
 
     pub fn held() -> Vec<u16> {
-        HELD.with(|h| h.borrow().iter().map(|&(r, _)| r).collect())
+        HELD.with(|h| h.borrow().clone())
     }
 }
 
@@ -267,17 +216,11 @@ fn rank_acquire(rank: u16) {
     enforce::acquire(rank);
 }
 #[cfg(debug_assertions)]
-fn rank_acquire_indexed(rank: u16, index: u32) {
-    enforce::acquire_indexed(rank, index);
-}
-#[cfg(debug_assertions)]
 fn rank_release(rank: u16) {
     enforce::release(rank);
 }
 #[cfg(not(debug_assertions))]
 fn rank_acquire(_rank: u16) {}
-#[cfg(not(debug_assertions))]
-fn rank_acquire_indexed(_rank: u16, _index: u32) {}
 #[cfg(not(debug_assertions))]
 fn rank_release(_rank: u16) {}
 
@@ -341,87 +284,6 @@ impl<T, const RANK: u16> DerefMut for OrderedMutexGuard<'_, T, RANK> {
 }
 
 impl<T, const RANK: u16> Drop for OrderedMutexGuard<'_, T, RANK> {
-    fn drop(&mut self) {
-        rank_release(RANK);
-    }
-}
-
-/// A fixed array of same-rank mutexes — one hash shard each — that
-/// participates in the hierarchy at rank `RANK`.
-///
-/// Unlike two independent [`OrderedMutex`]es of equal rank (which must
-/// never nest), shards of one `OrderedShardedMutex` *may* nest, but
-/// only in strictly ascending index order. Debug builds enforce the
-/// index order exactly as they enforce rank order; [`Self::lock_all`]
-/// is the sanctioned way to hold every shard at once.
-pub struct OrderedShardedMutex<T, const RANK: u16> {
-    shards: Box<[parking_lot::Mutex<T>]>,
-}
-
-impl<T, const RANK: u16> OrderedShardedMutex<T, RANK> {
-    /// Creates `n` shards (at least one), each initialized by `init`.
-    pub fn new(n: usize, mut init: impl FnMut() -> T) -> Self {
-        let n = n.max(1);
-        let shards: Vec<parking_lot::Mutex<T>> =
-            (0..n).map(|_| parking_lot::Mutex::new(init())).collect();
-        OrderedShardedMutex { shards: shards.into_boxed_slice() }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Acquires shard `i`, checking rank *and* index order in debug
-    /// builds: a same-rank guard may already be held only if it is a
-    /// lower-indexed shard.
-    pub fn lock(&self, i: usize) -> OrderedShardGuard<'_, T, RANK> {
-        rank_acquire_indexed(RANK, i as u32);
-        OrderedShardGuard { inner: self.shards[i].lock() }
-    }
-
-    /// Acquires every shard in ascending index order, for operations
-    /// that need a consistent cross-shard view (whole-volume
-    /// revocation, volume export).
-    pub fn lock_all(&self) -> Vec<OrderedShardGuard<'_, T, RANK>> {
-        (0..self.shards.len()).map(|i| self.lock(i)).collect()
-    }
-
-    /// Mutable access to every shard without locking (requires
-    /// exclusive ownership).
-    pub fn get_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.shards.iter_mut().map(|m| m.get_mut())
-    }
-}
-
-impl<T, const RANK: u16> fmt::Debug for OrderedShardedMutex<T, RANK> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrderedShardedMutex")
-            .field("rank", &RANK)
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// RAII guard for one shard of an [`OrderedShardedMutex`].
-pub struct OrderedShardGuard<'a, T, const RANK: u16> {
-    inner: parking_lot::MutexGuard<'a, T>,
-}
-
-impl<T, const RANK: u16> Deref for OrderedShardGuard<'_, T, RANK> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T, const RANK: u16> DerefMut for OrderedShardGuard<'_, T, RANK> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T, const RANK: u16> Drop for OrderedShardGuard<'_, T, RANK> {
     fn drop(&mut self) {
         rank_release(RANK);
     }
@@ -669,95 +531,6 @@ mod tests {
         if cfg!(debug_assertions) {
             assert_eq!(ranks_in_wait, vec![rank::HOST_TABLE]);
         }
-    }
-
-    #[test]
-    fn ascending_shard_acquisition_is_fine() {
-        let s: OrderedShardedMutex<u32, { rank::TOKEN_SHARD }> =
-            OrderedShardedMutex::new(4, || 0);
-        let g0 = s.lock(0);
-        let g2 = s.lock(2);
-        let g3 = s.lock(3);
-        assert_eq!(*g0 + *g2 + *g3, 0);
-        if cfg!(debug_assertions) {
-            assert_eq!(held_ranks(), vec![rank::TOKEN_SHARD; 3]);
-        }
-        drop(g0);
-        drop(g3);
-        drop(g2);
-        assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    fn lock_all_holds_every_shard() {
-        let s: OrderedShardedMutex<u32, { rank::HOST_SHARD }> =
-            OrderedShardedMutex::new(3, || 7);
-        let all = s.lock_all();
-        assert_eq!(all.iter().map(|g| **g).sum::<u32>(), 21);
-        if cfg!(debug_assertions) {
-            assert_eq!(held_ranks(), vec![rank::HOST_SHARD; 3]);
-        }
-        drop(all);
-        assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "enforcement is debug-only")]
-    fn descending_shard_acquisition_panics() {
-        let err = std::thread::spawn(|| {
-            let s: OrderedShardedMutex<(), { rank::TOKEN_SHARD }> =
-                OrderedShardedMutex::new(4, || ());
-            let _g2 = s.lock(2);
-            let _g1 = s.lock(1); // out of index order
-        })
-        .join()
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("panic message");
-        assert!(msg.contains("ascending index"), "got: {msg}");
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "enforcement is debug-only")]
-    fn same_shard_reacquisition_panics() {
-        let err = std::thread::spawn(|| {
-            let s: OrderedShardedMutex<(), { rank::TOKEN_SHARD }> =
-                OrderedShardedMutex::new(4, || ());
-            let _g = s.lock(2);
-            let _g2 = s.lock(2); // self-deadlock
-        })
-        .join()
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("panic message");
-        assert!(msg.contains("ascending index"), "got: {msg}");
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "enforcement is debug-only")]
-    fn shard_under_plain_same_rank_panics() {
-        let err = std::thread::spawn(|| {
-            let plain: OrderedMutex<(), { rank::TOKEN_SHARD }> = OrderedMutex::new(());
-            let s: OrderedShardedMutex<(), { rank::TOKEN_SHARD }> =
-                OrderedShardedMutex::new(2, || ());
-            let _g = plain.lock();
-            let _g2 = s.lock(1); // indexed under unindexed: still same-rank nesting
-        })
-        .join()
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("panic message");
-        assert!(msg.contains("same-rank locks must never nest"), "got: {msg}");
-    }
-
-    #[test]
-    fn shards_compose_with_higher_ranks() {
-        let s: OrderedShardedMutex<u32, { rank::TOKEN_SHARD }> =
-            OrderedShardedMutex::new(2, || 0);
-        let stats: OrderedMutex<u64, { rank::STATS }> = OrderedMutex::new(0);
-        let _g0 = s.lock(0);
-        let _g1 = s.lock(1);
-        *stats.lock() += 1; // leaf over shard guards
-        drop(_g1);
-        drop(_g0);
-        assert!(held_ranks().is_empty());
     }
 
     #[test]

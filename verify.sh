@@ -2,7 +2,8 @@
 # Full verification gate: what CI runs, and what a PR must keep green.
 #
 #   1. release build of the whole workspace
-#   2. the test suite (unit + integration + property tests)
+#   2. the root package's tests (the tier-1 line), then every test in
+#      the workspace (unit + integration + property tests)
 #   3. dfs-lint: workspace-wide concurrency static analysis (lock
 #      order, lockset coverage, lock-gap TOCTOU, stale allows) over
 #      crates/, shims/, and the root crate; the --json rendering is
@@ -17,9 +18,9 @@
 #      reestablishment, dirty-burst replay)
 #   7. fleet gate: the fleet-layer tests plus T15 at tiny parameters
 #      (volume sharding, WrongServer routing, live mid-run migration)
-#   8. hotpath gate: the token stress suite at shard counts 1 and 4
-#      (DFS_TOKEN_SHARDS) plus T9 with a small --clients sweep and T8
-#      with a --clients concurrency section, both JSON-validated
+#   8. hotpath gate: the token stress suite plus T9 with a small
+#      --clients sweep and T8 with a --clients concurrency section, both
+#      JSON-validated
 #   9. availability gate: the fault-matrix tests (drop/delay/duplicate/
 #      partition over flush, revocation, migration) plus T14 at tiny
 #      parameters (§3.8 replica promotion: bounded-stale reads during a
@@ -28,8 +29,8 @@
 #  10. scenario gate: the scenario-engine tests (seed determinism,
 #      invariant counters, fault-timeline arming) plus T17 at tiny
 #      parameters — a crash + restart + live volume move mid-run, run
-#      twice; the smoke fails unless the JSON reports ok (coherent,
-#      replay-identical, all events fired)
+#      twice; the smoke fails unless the JSON reports ok (both runs
+#      coherent with all events fired, and replay-identical)
 #  11. bench JSON smoke: every remaining --json-capable binary runs
 #      once and its output is validated through jsoncheck
 #
@@ -42,6 +43,9 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> dfs-lint crates/ shims/ . (JSON validated)"
 cargo run -q --release -p dfs-lint -- crates shims .
@@ -69,9 +73,8 @@ cargo test -q --test fleet
 t15_out=$(cargo run -q --release -p dfs-bench --bin t15_fleet -- --json --servers 2 --ops 12)
 printf '%s' "$t15_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 
-echo "==> hotpath gate (token stress at 1 and 4 shards + t9/t8 client sweeps)"
-DFS_TOKEN_SHARDS=1 cargo test -q -p dfs-token --test stress
-DFS_TOKEN_SHARDS=4 cargo test -q -p dfs-token --test stress
+echo "==> hotpath gate (token stress + t9/t8 client sweeps)"
+cargo test -q -p dfs-token --test stress
 t9_out=$(cargo run -q --release -p dfs-bench --bin t9_revocation_pingpong -- --json --clients 8 --ops 200)
 printf '%s' "$t9_out" | cargo run -q --release -p dfs-bench --bin jsoncheck
 t8c_out=$(cargo run -q --release -p dfs-bench --bin t8_group_commit -- --json --ops 64 --pages 16 --clients 4)
